@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--data-dir", help="directory holding batch1.dat .. batchN.dat")
     common.add_argument("--out", help="output file or directory (verb-dependent)")
     common.add_argument("--seed", type=int, help="override the synthetic-data seed")
-    common.add_argument("--jobs", type=int, default=1, help="parallel method runs (run verb)")
 
     parser = argparse.ArgumentParser(
         prog="driftbench",
@@ -50,11 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=2)
 
     p = sub.add_parser("run", parents=[common], help="run the benchmark and write reports")
-    p.add_argument(
-        "--method",
-        choices=["none", "means", "drca", "ldsp", "selftrain", "all"],
-        help="override the configured method list",
-    )
+    p.add_argument("--method", help="'all' or a comma list of methods (overrides 'methods')")
 
     p = sub.add_parser("report", parents=[common], help="render a saved JSON report")
     p.add_argument("--report-file", required=True, help="path to a report.json")
@@ -98,7 +93,7 @@ def _cmd_normalize(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for bid in normalized.batch_ids:
-            write_batch_file(out_dir / f"batch{bid}.dat", normalized.batch(bid).samples)
+            write_batch_file(out_dir / f"batch{bid}.dat", normalized.batch(bid))
         print(f"wrote {len(normalized.batch_ids)} batch file(s) to {out_dir}")
     if args.stats or not args.out:
         print(f"{'batch':>5}  {'min':>14}  {'max':>14}")
@@ -125,20 +120,21 @@ def _format_grid(grid_rows) -> str:
     methods = sorted({row["method"] for row in grid_rows})
     batches = sorted({row["batch_id"] for row in grid_rows})
     acc = {(r["method"], r["batch_id"]): r["accuracy"] for r in grid_rows}
-    header = "accuracy " + " ".join(f"b{b:<6}" for b in batches)
+    width = max(len(name) for name in ["accuracy", *methods]) + 1
+    header = f"{'accuracy':<{width}}" + " ".join(f"b{b:<6}" for b in batches)
     lines = [header]
     for m in methods:
         cells = " ".join(
-            f"{acc[(m, b)]:.4f} " if (m, b) in acc else "   -    " for b in batches
+            f"{acc[(m, b)]:.4f} " if (m, b) in acc else "   -   " for b in batches
         )
-        lines.append(f"{m:<9}{cells}")
+        lines.append(f"{m:<{width}}{cells}")
     return "\n".join(lines)
 
 
 def _cmd_run(args) -> int:
     cfg = _config(args)
     out_dir = Path(args.out) if args.out else Path("driftbench-out")
-    report = run_experiment(cfg, jobs=args.jobs, out_dir=out_dir)
+    report = run_experiment(cfg, out_dir=out_dir)
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
     print(_format_grid([
         {"method": m, "batch_id": b, "accuracy": cell.accuracy}

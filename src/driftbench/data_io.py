@@ -59,62 +59,55 @@ class ParseStats:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One feature vector with its gas label and optional concentration."""
-
-    features: np.ndarray
-    label: int
-    concentration: float | None
-    batch_id: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1:
-            raise ValueError(f"features must be 1-D, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", int(self.label))
-        if self.label < 1:
-            raise ValueError(f"label must be >= 1, got {self.label}")
-        if self.concentration is not None:
-            conc = float(self.concentration)
-            if not math.isfinite(conc) or conc <= 0:
-                raise ValueError(f"concentration must be positive, got {conc}")
-            object.__setattr__(self, "concentration", conc)
-        object.__setattr__(self, "batch_id", int(self.batch_id))
-
-
-@dataclass(frozen=True)
 class Batch:
-    """Ordered samples sharing one batch id."""
+    """One batch as read-only columns, validated once on construction.
+
+    ``features`` is (n, D) and finite, ``labels`` (n,) with every label >= 1,
+    and ``concentrations`` (n,) with each value positive or NaN (absent);
+    passing ``None`` marks every concentration absent.
+    """
 
     batch_id: int
-    samples: tuple[Sample, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    concentrations: np.ndarray | None = None
     month_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        X = np.asarray(self.features, dtype=float).view()
+        if X.ndim != 2:
+            raise ValueError(f"features must be a 2-D (n, D) array, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
+        n = X.shape[0]
+        y = np.asarray(self.labels, dtype=int).view()
+        if y.shape != (n,):
+            raise ValueError(f"labels shape {y.shape} does not match {n} feature rows")
+        if n and y.min() < 1:
+            raise ValueError(f"labels must be >= 1, got {y.min()}")
+        if self.concentrations is None:
+            conc = np.full(n, math.nan)
+        else:
+            conc = np.asarray(self.concentrations, dtype=float).view()
+        if conc.shape != (n,):
+            raise ValueError(f"concentrations shape {conc.shape} does not match {n} feature rows")
+        present = conc[~np.isnan(conc)]
+        if not np.all(np.isfinite(present) & (present > 0)):
+            raise ValueError("concentrations must be positive or NaN (absent)")
+        for name, arr in (("features", X), ("labels", y), ("concentrations", conc)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "month_ids", tuple(self.month_ids))
-        for s in self.samples:
-            if s.batch_id != self.batch_id:
-                raise ValueError(
-                    f"sample batch_id {s.batch_id} does not match batch {self.batch_id}"
-                )
-        dims = {s.features.shape[0] for s in self.samples}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent feature dimensions in batch: {sorted(dims)}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.features.shape[0]
 
     def feature_matrix(self) -> np.ndarray:
-        """Stack sample features into an (n, D) array."""
-        return np.stack([s.features for s in self.samples])
+        """The (n, D) feature array itself (read-only, no copy)."""
+        return self.features
 
     def label_vector(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=int)
+        return self.labels
 
 
 @dataclass(frozen=True)
@@ -146,10 +139,10 @@ class Dataset:
 
     @property
     def feature_dim(self) -> int:
-        return self.batches[1].samples[0].features.shape[0]
+        return self.batches[1].features.shape[1]
 
 
-def _parse_head(token: str, at: str) -> tuple[int, float | None]:
+def _parse_head(token: str, at: str) -> tuple[int, float]:
     lab_s, sep, conc_s = token.partition(";")
     try:
         label = int(lab_s)
@@ -158,7 +151,7 @@ def _parse_head(token: str, at: str) -> tuple[int, float | None]:
     if label not in GAS_LABELS:
         raise DataFormatError(f"{at}label {label} outside {{1..6}} in token '{token}'")
     if not sep:
-        return label, None
+        return label, math.nan
     try:
         conc = float(conc_s)
     except ValueError:
@@ -170,11 +163,12 @@ def _parse_head(token: str, at: str) -> tuple[int, float | None]:
 
 def parse_sample_line(
     line: str,
-    batch_id: int,
     line_no: int | None = None,
     stats: ParseStats | None = None,
-) -> Sample:
-    """Parse one data line into a Sample.
+) -> tuple[int, float, np.ndarray]:
+    """Parse one data line into ``(label, concentration, features)``.
+
+    The concentration is NaN when the line carries none.
 
     Feature indices absent from the line are zero-filled and counted in
     ``stats`` rather than rejected; the canonical files are dense, so a
@@ -222,16 +216,19 @@ def parse_sample_line(
         if listed < N_FEATURES:
             stats.samples_with_missing += 1
             stats.zero_filled += N_FEATURES - listed
-    return Sample(values, label, concentration, batch_id)
+    return label, concentration, values
 
 
-def format_sample_line(sample: Sample) -> str:
-    """Serialize a Sample back to the line grammar (dense, round-trip exact)."""
-    if sample.concentration is not None:
-        head = f"{sample.label};{float(sample.concentration)!r}"
+def format_sample_line(label: int, concentration: float, features: Sequence[float]) -> str:
+    """Serialize one row back to the line grammar (dense, round-trip exact).
+
+    A NaN concentration is absent and writes the label-only form.
+    """
+    if math.isnan(concentration):
+        head = str(label)
     else:
-        head = str(sample.label)
-    pairs = " ".join(f"{i + 1}:{float(v)!r}" for i, v in enumerate(sample.features))
+        head = f"{label};{float(concentration)!r}"
+    pairs = " ".join(f"{i + 1}:{float(v)!r}" for i, v in enumerate(features))
     return f"{head} {pairs}"
 
 
@@ -239,21 +236,21 @@ def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]
     """Parse one batch file; line errors are aggregated into a single failure."""
     path = Path(path)
     stats = ParseStats()
-    samples: list[Sample] = []
+    rows: list[tuple[int, float, np.ndarray]] = []
     errors: list[str] = []
     with open(path, "r") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                samples.append(parse_sample_line(line, batch_id, line_no, stats))
+                rows.append(parse_sample_line(line, line_no, stats))
             except DataFormatError as exc:
                 errors.append(str(exc))
     if errors:
         shown = "; ".join(errors[:5])
         more = f" (+{len(errors) - 5} more)" if len(errors) > 5 else ""
         raise DataFormatError(f"{path.name}: {len(errors)} malformed line(s): {shown}{more}")
-    if not samples:
+    if not rows:
         raise DataFormatError(f"{path.name}: no samples")
     if stats.samples_with_missing:
         logger.warning(
@@ -262,8 +259,15 @@ def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]
             stats.samples_with_missing,
             stats.zero_filled,
         )
-    months = BATCH_MONTH_IDS.get(batch_id, ())
-    return Batch(batch_id, tuple(samples), months), stats
+    labels, concentrations, features = zip(*rows)
+    batch = Batch(
+        batch_id,
+        np.stack(features),
+        np.array(labels),
+        np.array(concentrations),
+        BATCH_MONTH_IDS.get(batch_id, ()),
+    )
+    return batch, stats
 
 
 def load_dataset(directory: Path | str) -> Dataset:
@@ -292,9 +296,10 @@ def load_dataset(directory: Path | str) -> Dataset:
     return Dataset(batches)
 
 
-def write_batch_file(path: Path | str, samples: Sequence[Sample]) -> None:
-    """Write samples in the line grammar, atomically."""
-    text = "\n".join(format_sample_line(s) for s in samples) + "\n"
+def write_batch_file(path: Path | str, batch: Batch) -> None:
+    """Write a batch's rows in the line grammar, atomically."""
+    rows = zip(batch.labels.tolist(), batch.concentrations.tolist(), batch.features.tolist())
+    text = "\n".join(format_sample_line(*row) for row in rows) + "\n"
     atomic_write_text(path, text)
 
 
@@ -342,25 +347,33 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     direction /= np.linalg.norm(direction)
     spread = CLASS_MEAN_SPREAD / math.sqrt(config.dim)
     class_means = rng.standard_normal((config.n_classes, config.dim)) * spread
+    labels = np.repeat(np.arange(1, config.n_classes + 1), config.per_class)
     batches = {}
     for b in range(1, config.n_batches + 1):
         shift = (b - 1) * config.drift_step * direction
-        samples = []
-        for c in range(config.n_classes):
-            points = class_means[c] + shift + rng.standard_normal((config.per_class, config.dim))
-            samples.extend(Sample(row, c + 1, None, b) for row in points)
-        batches[b] = Batch(b, tuple(samples))
+        points = [
+            class_means[c] + shift + rng.standard_normal((config.per_class, config.dim))
+            for c in range(config.n_classes)
+        ]
+        batches[b] = Batch(b, np.vstack(points), labels)
     return Dataset(batches)
 
 
 def dataset_checksum(dataset: Dataset) -> str:
-    """SHA-256 over a canonical byte serialization of the dataset."""
+    """SHA-256 over a canonical byte serialization of the dataset.
+
+    Per batch in id order: ``<ii`` (batch id, row count); per row: ``<id``
+    (label, concentration, NaN when absent) then the features as
+    little-endian float64.
+    """
     h = hashlib.sha256()
     for bid in dataset.batch_ids:
         batch = dataset.batch(bid)
         h.update(struct.pack("<ii", bid, len(batch)))
-        for s in batch.samples:
-            conc = s.concentration if s.concentration is not None else math.nan
-            h.update(struct.pack("<id", s.label, conc))
-            h.update(np.ascontiguousarray(s.features, dtype=np.float64).tobytes())
+        d = batch.features.shape[1]
+        rows = np.empty(len(batch), dtype=[("label", "<i4"), ("conc", "<f8"), ("x", "<f8", (d,))])
+        rows["label"] = batch.labels
+        rows["conc"] = batch.concentrations
+        rows["x"] = batch.features
+        h.update(rows.tobytes())
     return h.hexdigest()

@@ -10,7 +10,6 @@ JSON ``created_at`` stamp.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -103,35 +102,50 @@ def load_input_dataset(cfg: RunConfig) -> Dataset:
     raise ConfigError("no input data: set data.dir or synthetic.enabled")
 
 
-def run_experiment(cfg: RunConfig, jobs: int = 1, out_dir: Path | str | None = None) -> EvalReport:
+def check_components(cfg: RunConfig, dataset: Dataset) -> None:
+    """Reject a DRCA/LDSP component count that no drifted target can supply.
+
+    Each target after batch 1 has its mean difference from batch 1 deflated
+    away, which leaves D - 1 components; catching this here fails the run
+    before any model is trained.
+    """
+    if len(dataset.batch_ids) < 2:
+        return
+    d = dataset.feature_dim
+    for key, method, k in (
+        ("drca.components", "drca", cfg.drca.n_components),
+        ("ldsp.components", "ldsp", cfg.ldsp.n_components),
+    ):
+        if method in cfg.methods and k > d - 1:
+            raise ConfigError(
+                f"{key}={k} exceeds the {d - 1} components left after deflation "
+                f"of the D={d} features"
+            )
+
+
+def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalReport:
     """Execute the requested strategies and assemble the metric grid.
 
-    Batch 1 is evaluated through a separate single-target call per method so
-    the reference row never feeds state (e.g. a self-training pool) into the
-    real evaluation batches.  When ``out_dir`` is given the CSV and JSON
-    reports are written there as well.
+    Batch 1 is scored as a training-reference row beside batches 2..N.  When
+    ``out_dir`` is given the CSV and JSON reports are written there as well.
     """
     raw = load_input_dataset(cfg)
+    check_components(cfg, raw)
     checksum = dataset_checksum(raw)
     dataset = normalize_dataset(raw) if cfg.normalize else raw
     calibration, targets, labels = split_calibration(dataset)
     reference = strip_labels(dataset.batch(REFERENCE_BATCH_ID))
 
-    def run_one(name: str) -> list[PredictionSet]:
-        spec = method_spec(name, cfg)
-        preds = run_method(spec, calibration, [reference], cfg.classifier)
-        if targets:
-            preds += run_method(spec, calibration, targets, cfg.classifier)
-        return preds
-
-    if jobs > 1 and len(cfg.methods) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_method = list(pool.map(run_one, cfg.methods))
-    else:
-        per_method = [run_one(name) for name in cfg.methods]
-
     grid = {}
-    for preds in per_method:
+    for name in cfg.methods:
+        spec = method_spec(name, cfg)
+        if name == "selftrain":
+            # A separate call for batch 1, so its pseudo-labels never enter
+            # the pool that batches 2..N grow.
+            preds = run_method(spec, calibration, [reference], cfg.classifier)
+            preds += run_method(spec, calibration, targets, cfg.classifier)
+        else:
+            preds = run_method(spec, calibration, [reference] + targets, cfg.classifier)
         grid.update(evaluate_predictions(preds, labels, cfg.f1_average))
     report = EvalReport(
         grid=grid,
@@ -239,10 +253,10 @@ def projection_rows(dataset: Dataset, which: str, components: int = 2) -> list[t
         if proj is None:
             proj = lda_fit(batch.feature_matrix(), batch.label_vector(), components)
         XY = project(proj, batch.feature_matrix(), "source")
-        for sample, point in zip(batch.samples, XY):
+        for label, point in zip(batch.labels.tolist(), XY):
             x, y = float(point[0]), float(point[1])
             clipped = int(abs(x) >= PROJECTION_PLOT_LIMIT or abs(y) >= PROJECTION_PLOT_LIMIT)
-            rows.append((bid, sample.label, x, y, clipped))
+            rows.append((bid, label, x, y, clipped))
     return rows
 
 

@@ -7,12 +7,11 @@ are deliberately not clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import Batch, Dataset, Sample
+from .data_io import Batch, Dataset
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,6 @@ class NormalizationParams:
         object.__setattr__(self, "max", hi)
 
 
-@dataclass(frozen=True)
-class CenteringOffset:
-    """Arithmetic mean removed from a batch by centering."""
-
-    mean: np.ndarray
-    batch_id: int
-
-
 def fit_minmax(calibration: Batch) -> NormalizationParams:
     """Learn exact per-feature extrema from the calibration batch."""
     if len(calibration) == 0:
@@ -65,19 +56,9 @@ def apply_minmax_matrix(params: NormalizationParams, X: np.ndarray) -> np.ndarra
     return np.where(span > 0, out, 0.0)
 
 
-def apply_minmax(params: NormalizationParams, samples: Sequence[Sample]) -> list[Sample]:
-    """Rescale samples; values outside the calibration range are not clipped."""
-    if not samples:
-        return []
-    X = np.stack([s.features for s in samples])
-    Xn = apply_minmax_matrix(params, X)
-    return [
-        Sample(Xn[i], s.label, s.concentration, s.batch_id) for i, s in enumerate(samples)
-    ]
-
-
 def normalize_batch(params: NormalizationParams, batch: Batch) -> Batch:
-    return Batch(batch.batch_id, tuple(apply_minmax(params, batch.samples)), batch.month_ids)
+    """Rescale a batch's features; values outside the calibration range are not clipped."""
+    return replace(batch, features=apply_minmax_matrix(params, batch.features))
 
 
 def normalize_dataset(dataset: Dataset, params: NormalizationParams | None = None) -> Dataset:
@@ -94,13 +75,3 @@ def center_matrix(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cannot center an empty matrix")
     mean = X.mean(axis=0)
     return X - mean, mean
-
-
-def center(samples: Sequence[Sample]) -> tuple[list[Sample], CenteringOffset]:
-    """Center samples on their own arithmetic mean."""
-    if not samples:
-        raise ValueError("cannot center an empty sample list")
-    X = np.stack([s.features for s in samples])
-    Xc, mean = center_matrix(X)
-    out = [Sample(Xc[i], s.label, s.concentration, s.batch_id) for i, s in enumerate(samples)]
-    return out, CenteringOffset(mean, samples[0].batch_id)

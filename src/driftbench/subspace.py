@@ -22,11 +22,6 @@ import scipy.linalg
 
 PROJECTION_KINDS = ("pca", "lda", "drca", "ldsp")
 
-# Orthonormal kinds guarantee mutually orthogonal unit columns; LDA columns
-# are unit-length but come from a generalized eigenproblem and need not be
-# mutually orthogonal.
-ORTHONORMAL_KINDS = ("pca", "drca", "ldsp")
-
 
 @dataclass(frozen=True)
 class DrcaConfig:

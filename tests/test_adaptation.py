@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from driftbench.adaptation import (
     strip_labels,
 )
 from driftbench.classifier import ClassifierConfig, predict, train_with_config
-from driftbench.data_io import Batch, SyntheticConfig, generate_synthetic
+from driftbench.data_io import SyntheticConfig, generate_synthetic
 from driftbench.metrics import accuracy
-from driftbench.preprocess import center
+from driftbench.preprocess import center_matrix
 from driftbench.subspace import DrcaConfig, LdspConfig
 
 CLF = ClassifierConfig(max_iter=500, tol=1e-7)
@@ -72,8 +74,7 @@ class TestNoAdaptation:
 class TestMeansCorrection:
     def test_calibration_as_target_matches_centered_no_adaptation(self, small_synth):
         cal, _, store = split_calibration(small_synth)
-        centered_samples, _ = center(cal.samples)
-        centered_cal = Batch(cal.batch_id, tuple(centered_samples), cal.month_ids)
+        centered_cal = replace(cal, features=center_matrix(cal.features)[0])
         via_means = run_means_correction(cal, [strip_labels(cal)], CLF)
         via_none = run_no_adaptation(centered_cal, [strip_labels(centered_cal)], CLF)
         assert np.array_equal(via_means[0].predicted, via_none[0].predicted)

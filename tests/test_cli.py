@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from driftbench.cli import main
+from driftbench.cli import _format_grid, main
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
 
 SYNTH_CFG = {
@@ -29,7 +30,7 @@ def data_dir(tmp_path):
     d = tmp_path / "data"
     d.mkdir()
     for bid in ds.batch_ids:
-        write_batch_file(d / f"batch{bid}.dat", ds.batch(bid).samples)
+        write_batch_file(d / f"batch{bid}.dat", ds.batch(bid))
     return d
 
 
@@ -98,6 +99,19 @@ class TestRun:
         db.pop("created_at")
         assert da == db
 
+    def test_method_takes_a_comma_list(self, config_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(config_file), "--method", "means,drca", "--out", str(out_dir)])
+        assert code == 0
+        doc = json.loads((out_dir / "report.json").read_text())
+        assert {row["method"] for row in doc["grid"]} == {"means", "drca"}
+        assert doc["config"]["methods"] == "means,drca"
+
+    def test_unknown_method_fails(self, config_file, tmp_path, capsys):
+        code = main(["run", "--config", str(config_file), "--method", "bogus", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"classifier.regstrength": 2.0}))
@@ -124,6 +138,25 @@ class TestReport:
         assert code == 0
         table = capsys.readouterr().out
         assert "none" in table and "means" in table
+
+    def test_table_columns_line_up(self, capsys):
+        rows = [
+            {"method": m, "batch_id": b, "accuracy": 0.84}
+            for m in ("means", "none", "selftrain")
+            for b in range(1, 11)
+            if (m, b) != ("none", 4)
+        ]
+        lines = _format_grid(rows).splitlines()
+        assert lines[0].startswith("accuracy ")
+        selftrain = next(line for line in lines if line.startswith("selftrain"))
+        assert selftrain.startswith("selftrain 0.8400")
+        columns = [m.start() for m in re.finditer(r"b\d+", lines[0])]
+        assert len(columns) == 10
+        for line in lines[1:]:
+            assert line[: columns[0]].endswith(" "), line
+            cells = [line[c : c + 7].strip() for c in columns]
+            assert all(re.fullmatch(r"0\.8400|-", cell) for cell in cells), line
+            assert len(re.findall(r"0\.8400|-", line)) == 10, line
 
     def test_csv_format_round_trip(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "out"

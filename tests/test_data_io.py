@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from driftbench.data_io import (
     DataFormatError,
     Dataset,
     ParseStats,
-    Sample,
     SyntheticConfig,
+    dataset_checksum,
     format_sample_line,
     generate_synthetic,
     load_dataset,
@@ -24,69 +26,70 @@ def dense_line(label, values, concentration=None):
 class TestParse:
     def test_full_line_with_concentration(self):
         values = [round(0.1 * i - 5, 3) for i in range(128)]
-        s = parse_sample_line(dense_line(3, values, "250.000000"), batch_id=2)
-        assert s.label == 3
-        assert s.concentration == 250.0
-        assert s.batch_id == 2
-        assert np.array_equal(s.features, np.array(values))
+        label, conc, features = parse_sample_line(dense_line(3, values, "250.000000"))
+        assert label == 3
+        assert conc == 250.0
+        assert np.array_equal(features, np.array(values))
 
     def test_label_only_form(self):
-        s = parse_sample_line(dense_line(6, [0.0] * 128), batch_id=1)
-        assert s.label == 6
-        assert s.concentration is None
-        assert np.array_equal(s.features, np.zeros(128))
+        label, conc, features = parse_sample_line(dense_line(6, [0.0] * 128))
+        assert label == 6
+        assert math.isnan(conc)
+        assert np.array_equal(features, np.zeros(128))
 
     def test_label_out_of_range(self):
         with pytest.raises(DataFormatError, match="label 7"):
-            parse_sample_line("7;10.0 1:1.0", batch_id=1)
+            parse_sample_line("7;10.0 1:1.0")
 
     def test_index_out_of_range(self):
         with pytest.raises(DataFormatError, match=r"129.*'129:1.0'"):
-            parse_sample_line("1 129:1.0", batch_id=1)
+            parse_sample_line("1 129:1.0")
         with pytest.raises(DataFormatError, match="0"):
-            parse_sample_line("1 0:1.0", batch_id=1)
+            parse_sample_line("1 0:1.0")
 
     def test_non_increasing_indices(self):
         with pytest.raises(DataFormatError, match="strictly increasing"):
-            parse_sample_line("1 2:1.0 2:2.0", batch_id=1)
+            parse_sample_line("1 2:1.0 2:2.0")
         with pytest.raises(DataFormatError, match="strictly increasing"):
-            parse_sample_line("1 5:1.0 3:2.0", batch_id=1)
+            parse_sample_line("1 5:1.0 3:2.0")
 
     def test_unparseable_number(self):
         with pytest.raises(DataFormatError, match="1:abc"):
-            parse_sample_line("1 1:abc", batch_id=1)
+            parse_sample_line("1 1:abc")
 
     def test_malformed_token(self):
         with pytest.raises(DataFormatError, match="malformed feature token"):
-            parse_sample_line("1 noseparator", batch_id=1)
+            parse_sample_line("1 noseparator")
 
     def test_error_names_line_number(self):
         with pytest.raises(DataFormatError, match="line 17"):
-            parse_sample_line("9 1:1.0", batch_id=1, line_no=17)
+            parse_sample_line("9 1:1.0", line_no=17)
 
     def test_empty_line(self):
         with pytest.raises(DataFormatError, match="empty"):
-            parse_sample_line("   ", batch_id=1)
+            parse_sample_line("   ")
 
     def test_missing_indices_zero_filled(self):
         stats = ParseStats()
-        s = parse_sample_line("2 1:1.5 100:-2.0", batch_id=1, stats=stats)
+        _, _, features = parse_sample_line("2 1:1.5 100:-2.0", stats=stats)
         expected = np.zeros(128)
         expected[0] = 1.5
         expected[99] = -2.0
-        assert np.array_equal(s.features, expected)
+        assert np.array_equal(features, expected)
         assert stats.samples_with_missing == 1
         assert stats.zero_filled == 126
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         for i in range(20):
-            conc = float(rng.uniform(5, 1000)) if i % 2 else None
-            original = Sample(rng.normal(size=128) * 1e3, int(rng.integers(1, 7)), conc, 3)
-            back = parse_sample_line(format_sample_line(original), batch_id=3)
-            assert back.label == original.label
-            assert back.concentration == original.concentration
-            assert np.array_equal(back.features, original.features)
+            conc = float(rng.uniform(5, 1000)) if i % 2 else math.nan
+            label, features = int(rng.integers(1, 7)), rng.normal(size=128) * 1e3
+            back_label, back_conc, back_features = parse_sample_line(
+                format_sample_line(label, conc, features)
+            )
+            assert back_label == label
+            assert back_conc == conc or math.isnan(back_conc) and math.isnan(conc)
+            assert np.array_equal(back_features, features)
 
 
 class TestLoad:
@@ -133,33 +136,49 @@ class TestLoad:
             load_dataset(tmp_path)
 
     def test_write_batch_file_round_trip(self, tmp_path):
-        ds = generate_synthetic(SyntheticConfig(n_classes=3, dim=5, per_class=4, n_batches=1, seed=9))
-        # synthetic dims differ from the canonical 128, so write/parse via samples directly
-        samples = ds.batch(1).samples
-        path = tmp_path / "out.dat"
-        write_batch_file(path, samples)
-        text = path.read_text().strip().splitlines()
-        assert len(text) == len(samples)
+        ds = generate_synthetic(SyntheticConfig(n_classes=3, dim=128, per_class=4, n_batches=1, seed=9))
+        batch = ds.batch(1)
+        write_batch_file(tmp_path / "batch1.dat", batch)
+        back = load_dataset(tmp_path).batch(1)
+        assert np.array_equal(back.features, batch.features)
+        assert np.array_equal(back.labels, batch.labels)
+        assert np.all(np.isnan(back.concentrations))
 
 
 class TestTypes:
-    def test_sample_rejects_nonfinite(self):
+    def test_batch_rejects_nonfinite_features(self):
         with pytest.raises(ValueError, match="finite"):
-            Sample(np.array([1.0, np.nan]), 1, None, 1)
+            Batch(1, np.array([[1.0, np.nan]]), [1])
 
-    def test_sample_rejects_nonpositive_concentration(self):
+    def test_batch_rejects_nonpositive_concentration(self):
         with pytest.raises(ValueError, match="concentration"):
-            Sample(np.zeros(4), 1, -3.0, 1)
+            Batch(1, np.zeros((2, 4)), [1, 1], [np.nan, -3.0])
+        with pytest.raises(ValueError, match="concentration"):
+            Batch(1, np.zeros((1, 4)), [1], [np.inf])
 
-    def test_batch_rejects_mismatched_ids(self):
-        s = Sample(np.zeros(4), 1, None, 2)
-        with pytest.raises(ValueError, match="batch"):
-            Batch(1, (s,))
+    def test_batch_rejects_bad_labels_and_shapes(self):
+        with pytest.raises(ValueError, match="labels must be >= 1"):
+            Batch(1, np.zeros((2, 4)), [1, 0])
+        with pytest.raises(ValueError, match="labels shape"):
+            Batch(1, np.zeros((2, 4)), [1])
+        with pytest.raises(ValueError, match="concentrations shape"):
+            Batch(1, np.zeros((2, 4)), [1, 1], [5.0])
+        with pytest.raises(ValueError, match="2-D"):
+            Batch(1, np.zeros(4), [1])
+
+    def test_batch_columns_are_read_only_and_not_restacked(self):
+        source = np.zeros((2, 3))
+        batch = Batch(1, source, [1, 2], [np.nan, 4.0])
+        assert batch.feature_matrix() is batch.features
+        assert batch.label_vector() is batch.labels
+        for column in (batch.features, batch.labels, batch.concentrations):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        source[0, 0] = 1.0  # the caller's own array stays writable
 
     def test_dataset_requires_contiguous_ids(self):
-        s = Sample(np.zeros(4), 1, None, 2)
         with pytest.raises(ValueError, match="contiguous"):
-            Dataset({2: Batch(2, (s,))})
+            Dataset({2: Batch(2, np.zeros((1, 4)), [1])})
 
 
 class TestSynthetic:
@@ -198,3 +217,20 @@ class TestSynthetic:
             SyntheticConfig(per_class=1)
         with pytest.raises(ValueError):
             SyntheticConfig(n_batches=0)
+
+
+class TestChecksum:
+    """The digest is report provenance; these values were taken from the per-row model."""
+
+    def test_synthetic_digest_pinned(self):
+        ds = generate_synthetic(SyntheticConfig(n_classes=3, dim=5, per_class=4, n_batches=2, seed=9))
+        assert dataset_checksum(ds) == (
+            "bfacff1e2341361cbb4a2457b2de845fa3727f762440bc6351e909fea91ccfb9"
+        )
+
+    def test_parsed_digest_pinned(self, tmp_path):
+        (tmp_path / "batch1.dat").write_text("1;250.5 1:1.5 2:-2.25 128:3.0\n2 1:0.125 64:7.0\n")
+        (tmp_path / "batch2.dat").write_text("6;12.0 1:1e3 2:-4.5\n")
+        assert dataset_checksum(load_dataset(tmp_path)) == (
+            "c3b3afec78939f4c24ae1cd03814b0231f1429528edb2ee97ac5a395b3bc6536"
+        )

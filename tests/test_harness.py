@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from driftbench import adaptation
 from driftbench.config import ConfigError, resolve_config
-from driftbench.data_io import Batch, Dataset, Sample
+from driftbench.data_io import Batch, Dataset
 from driftbench.harness import (
     PROJECTION_PLOT_LIMIT,
     export_projections,
@@ -69,9 +70,36 @@ class TestRunExperiment:
         db.pop("created_at")
         assert da == db
 
-    def test_jobs_do_not_change_results(self):
-        cfg = synth_config(methods="none,means,drca")
-        assert run_experiment(cfg, jobs=1).grid == run_experiment(cfg, jobs=3).grid
+    @pytest.mark.parametrize("method, fits", [("none", 1), ("means", 1), ("drca", 5)])
+    def test_calibration_model_trained_once_per_target_set(self, monkeypatch, method, fits):
+        # batch 1's reference row shares the call that scores batches 2..N
+        calls = []
+        real = adaptation.train_with_config
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptation, "train_with_config", counting)
+        report = run_experiment(synth_config(methods=method))
+        assert len(calls) == fits
+        assert sorted(b for _, b in report.grid) == [1, 2, 3, 4, 5]
+
+    def test_impossible_components_fail_before_any_fit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(adaptation, "train_with_config", lambda *a, **k: calls.append(1))
+        with pytest.raises(ConfigError, match=r"drca\.components=127.*D=16"):
+            run_experiment(resolve_config({"synthetic.enabled": True}))
+        assert calls == []
+        with pytest.raises(ConfigError, match=r"ldsp\.components=12.*D=12"):
+            run_experiment(synth_config(**{"methods": "none,ldsp", "ldsp.components": 12}))
+        assert calls == []
+
+    def test_components_unchecked_without_drifted_targets(self):
+        cfg = synth_config(
+            **{"synthetic.n_batches": 1, "methods": "drca", "drca.components": 12}
+        )
+        assert sorted(run_experiment(cfg).grid) == [("drca", 1)]
 
     def test_input_source_must_be_unambiguous(self):
         with pytest.raises(ConfigError, match="not both"):
@@ -115,10 +143,7 @@ class TestReportSerialization:
 def tiny_projection_dataset():
     """Batch 1 dominated by axis 0 with extreme values; small second batch."""
     def mk(rows, labels, bid):
-        return Batch(
-            bid,
-            tuple(Sample(np.array(r, float), lab, None, bid) for r, lab in zip(rows, labels)),
-        )
+        return Batch(bid, np.array(rows, float), labels)
 
     b1 = mk(
         [[500.0, 0.0, 0.1], [-500.0, 0.0, -0.1], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from driftbench.data_io import Batch, Sample
+from driftbench.data_io import Batch
 from driftbench.preprocess import (
-    CenteringOffset,
     NormalizationParams,
-    apply_minmax,
     apply_minmax_matrix,
-    center,
     center_matrix,
     fit_minmax,
+    normalize_batch,
     normalize_dataset,
 )
 
 
 def make_batch(rows, batch_id=1):
-    return Batch(batch_id, tuple(Sample(np.asarray(r, float), 1, None, batch_id) for r in rows))
+    X = np.asarray(rows, float)
+    return Batch(batch_id, X, np.ones(X.shape[0], dtype=int))
 
 
 class TestMinMax:
@@ -31,14 +30,15 @@ class TestMinMax:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_minmax(Batch(1, ()))
+            fit_minmax(Batch(1, np.empty((0, 2)), np.empty(0, dtype=int)))
 
     def test_own_batch_lands_in_unit_interval(self):
         rng = np.random.default_rng(0)
         batch = make_batch(rng.normal(size=(40, 7)) * 50)
         params = fit_minmax(batch)
-        out = np.stack([s.features for s in apply_minmax(params, batch.samples)])
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        out = normalize_batch(params, batch)
+        assert out.features.min() >= 0.0 and out.features.max() <= 1.0
+        assert np.array_equal(out.labels, batch.labels) and out.batch_id == batch.batch_id
 
     def test_endpoints_map_to_zero_and_one(self):
         params = fit_minmax(make_batch([[2.0, 0.0], [6.0, 4.0]]))
@@ -81,26 +81,21 @@ class TestMinMax:
 class TestCenter:
     def test_mean_removed(self):
         rng = np.random.default_rng(1)
-        samples = make_batch(rng.normal(size=(25, 6)) + 100).samples
-        out, offset = center(samples)
-        X = np.stack([s.features for s in out])
+        X, mean = center_matrix(rng.normal(size=(25, 6)) + 100)
         assert np.abs(X.mean(axis=0)).max() < 1e-10
-        assert isinstance(offset, CenteringOffset)
-        assert np.allclose(offset.mean, 100, atol=1.0)
+        assert np.allclose(mean, 100, atol=1.0)
 
     def test_single_sample_becomes_zero(self):
-        out, offset = center(make_batch([[3.0, -4.0]]).samples)
-        assert np.array_equal(out[0].features, [0.0, 0.0])
-        assert np.array_equal(offset.mean, [3.0, -4.0])
+        X, mean = center_matrix(np.array([[3.0, -4.0]]))
+        assert np.array_equal(X, [[0.0, 0.0]])
+        assert np.array_equal(mean, [3.0, -4.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        once, _ = center(make_batch(rng.normal(size=(10, 3))).samples)
-        twice, second_offset = center(once)
-        assert np.abs(second_offset.mean).max() < 1e-10
+        once, _ = center_matrix(rng.normal(size=(10, 3)))
+        _, second_mean = center_matrix(once)
+        assert np.abs(second_mean).max() < 1e-10
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            center([])
         with pytest.raises(ValueError, match="empty"):
             center_matrix(np.zeros((0, 3)))
