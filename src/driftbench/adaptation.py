@@ -212,7 +212,9 @@ def run_self_training(
     nothing.  The last trained model provides the recorded predictions.
     Added points keep their first pseudo-label permanently.  In cumulative
     mode the pool carries across batches; otherwise it resets to the
-    calibration data for every batch.
+    calibration data for every batch.  Every fit after the first starts from
+    the weights of the model trained before it: the pool changes little
+    between fits, and the optimum does not depend on the start.
     """
     ordered = sorted(targets, key=lambda t: t.batch_id)
     X0 = calibration.feature_matrix()
@@ -220,6 +222,7 @@ def run_self_training(
     pool_X = [X0]
     pool_y = [y0]
     out = []
+    model = None
     for t in ordered:
         if not st_config.cumulative:
             pool_X = [X0]
@@ -228,7 +231,12 @@ def run_self_training(
         pred = conf = None
         rounds = 0
         for _ in range(st_config.max_rounds):
-            model = train_with_config(np.vstack(pool_X), np.concatenate(pool_y), clf_config)
+            model = train_with_config(
+                np.vstack(pool_X),
+                np.concatenate(pool_y),
+                clf_config,
+                init_weights=None if model is None else model.weights,
+            )
             pred, conf = predict(model, t.features)
             rounds += 1
             gate = (conf >= st_config.confidence_threshold) & ~added

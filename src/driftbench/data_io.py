@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -304,11 +305,21 @@ def write_batch_file(path: Path | str, batch: Batch) -> None:
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+    """Write via a unique sibling temp file and rename, so readers never see
+    partials and concurrent writers to one path never share a temp file."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

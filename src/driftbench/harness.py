@@ -10,6 +10,7 @@ JSON ``created_at`` stamp.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +28,13 @@ from .adaptation import (
     run_method,
 )
 from .config import ConfigError, RunConfig
-from .data_io import Dataset, dataset_checksum, generate_synthetic, load_dataset
+from .data_io import (
+    Dataset,
+    atomic_write_text,
+    dataset_checksum,
+    generate_synthetic,
+    load_dataset,
+)
 from .metrics import accuracy, f1_score
 from .preprocess import normalize_dataset
 from .subspace import lda_fit, pca_fit, project
@@ -214,10 +221,6 @@ def report_from_json_dict(doc: dict) -> EvalReport:
 
 def export_report(report: EvalReport, out_dir: Path | str) -> tuple[Path, Path]:
     """Write report.csv and report.json into out_dir; returns both paths."""
-    import json
-
-    from .data_io import atomic_write_text
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
@@ -264,8 +267,6 @@ def export_projections(
     dataset: Dataset, which: str, out_path: Path | str, components: int = 2
 ) -> Path:
     """Write the projection CSV (header batch_id,label,x,y,clipped)."""
-    from .data_io import atomic_write_text
-
     rows = projection_rows(dataset, which, components)
     lines = ["batch_id,label,x,y,clipped"]
     lines += [f"{b},{lab},{x:.10g},{y:.10g},{c}" for b, lab, x, y, c in rows]

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import driftbench.adaptation as adaptation
 from driftbench.adaptation import (
     MethodSpec,
     SelfTrainConfig,
@@ -190,6 +191,28 @@ class TestSelfTraining:
         for x, y in zip(a, b):
             assert np.array_equal(x.predicted, y.predicted)
             assert np.array_equal(x.confidence, y.confidence)
+
+    def test_warm_start_keeps_predictions_and_saves_iterations(self, small_synth, monkeypatch):
+        cal, targets, _ = split_calibration(small_synth)
+        st = SelfTrainConfig(confidence_threshold=0.9, max_rounds=4)
+
+        def run(cold):
+            iters = []
+
+            def counted(X, y, config, init_weights=None):
+                model = train_with_config(X, y, config, None if cold else init_weights)
+                iters.append(model.n_iter)
+                return model
+
+            monkeypatch.setattr(adaptation, "train_with_config", counted)
+            return run_self_training(cal, targets, st, CLF), iters
+
+        warm, warm_iters = run(cold=False)
+        cold, cold_iters = run(cold=True)
+        assert len(warm_iters) == len(cold_iters) > 1
+        for w, c in zip(warm, cold):
+            assert np.array_equal(w.predicted, c.predicted)
+        assert sum(warm_iters) < sum(cold_iters)
 
 
 class TestMethodSpec:

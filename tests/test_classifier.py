@@ -95,6 +95,33 @@ class TestTrain:
         assert model.n_iter == 3
         assert any("optimizer" in rec.message for rec in caplog.records)
 
+    def test_uncentred_minmax_fit_converges_under_default_config(self):
+        # The shape of the `none` fit on canonical data: 445 samples, 128
+        # features scaled into [0, 1] (so far from centred) and 6 classes.
+        rng = np.random.default_rng(0)
+        y = np.arange(445) % 6 + 1
+        X = rng.normal(0.0, 0.35, (6, 128))[y - 1] + rng.standard_normal((445, 128))
+        X = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0))
+        model = train_with_config(X, y, ClassifierConfig())
+        assert model.converged
+        assert model.n_iter < ClassifierConfig().max_iter
+
+    def test_start_from_converged_weights_takes_no_step(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 5))
+        y = rng.integers(0, 3, size=40)
+        y[:3] = [0, 1, 2]
+        cold = train(X, y, reg_strength=0.01)
+        warm = train(X, y, reg_strength=0.01, init_weights=cold.weights)
+        assert cold.converged and cold.n_iter > 0
+        assert warm.converged and warm.n_iter == 0
+        assert np.array_equal(warm.weights, cold.weights)
+
+    def test_init_weights_shape_checked(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="init_weights"):
+            train(X, [1, 1, 2, 2], reg_strength=0.1, init_weights=np.zeros((2, 2)))
+
     def test_config_scales_regularization_per_sample(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(25, 3))

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import driftbench
 from driftbench.cli import _format_grid, main
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
 
@@ -165,3 +170,15 @@ class TestReport:
         code = main(["report", "--report-file", str(out_dir / "report.json"), "--format", "csv"])
         assert code == 0
         assert capsys.readouterr().out == (out_dir / "report.csv").read_text()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize pulls in some 240 modules and ~20 MiB at start-up.
+    src = str(Path(driftbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, driftbench.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

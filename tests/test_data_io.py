@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from driftbench.data_io import (
     Dataset,
     ParseStats,
     SyntheticConfig,
+    atomic_write_text,
     dataset_checksum,
     format_sample_line,
     generate_synthetic,
@@ -234,3 +236,37 @@ class TestChecksum:
         assert dataset_checksum(load_dataset(tmp_path)) == (
             "c3b3afec78939f4c24ae1cd03814b0231f1429528edb2ee97ac5a395b3bc6536"
         )
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("stale", ["file", "dir"])
+    def test_stale_tmp_name_neither_fatal_nor_touched(self, tmp_path, stale):
+        stale_path = tmp_path / "report.csv.tmp"
+        if stale == "file":
+            stale_path.write_text("left by another run\n")
+        else:
+            stale_path.mkdir()
+            (stale_path / "inner").write_text("x")
+        atomic_write_text(tmp_path / "report.csv", "a,b\n")
+        assert (tmp_path / "report.csv").read_text() == "a,b\n"
+        if stale == "file":
+            assert stale_path.read_text() == "left by another run\n"
+        else:
+            assert (stale_path / "inner").read_text() == "x"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.csv.tmp"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "report.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "new\udc80\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            atomic_write_text(tmp_path / "report.csv", "a\n")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "report.csv").stat().st_mode & 0o777 == 0o644
