@@ -15,6 +15,7 @@ import math
 import os
 import struct
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -233,41 +234,117 @@ def format_sample_line(label: int, concentration: float, features: Sequence[floa
     return f"{head} {pairs}"
 
 
-def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]:
-    """Parse one batch file; line errors are aggregated into a single failure."""
-    path = Path(path)
-    stats = ParseStats()
+# A dense line "label[;conc] 1:v 2:v ... 128:v" with the characters of its
+# numbers and the head's ';' deleted is exactly this skeleton.  Translating
+# through _SKELETON_TABLE turns every other byte (a tab, '#', the letters of
+# nan or inf, non-ASCII) into NUL, so the one comparison also rejects any
+# character a number cannot hold, which np.loadtxt would otherwise strip
+# (whitespace) or read differently.
+_NUMBER_BYTES = b"0123456789+-.eE;"
+_SKELETON_TABLE = bytes(b if b in b" :" else 0 for b in range(256))
+_DENSE_SKELETON = b" :" * N_FEATURES
+_DENSE_ROW = np.dtype([("pair", [("index", "i8"), ("value", "f8")], (N_FEATURES,))])
+_DENSE_INDICES = np.arange(1, N_FEATURES + 1)
+
+
+class _NotDense(Exception):
+    """A line of the file is not a dense line the one-pass parse may take."""
+
+
+def _parse_dense(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse a file of dense lines in one pass into ``(labels, concentrations,
+    features)``, or return None.
+
+    Takes only files whose every non-blank line ``parse_sample_line`` accepts
+    with all 128 indices in order, and returns bit-identical arrays for them.
+    Anything else (a sparse or malformed line, a tab, a lone carriage return,
+    a non-finite value) returns None, and the per-line parser decides and
+    words the error.  The file is streamed, never held whole, so loading
+    stays well under the memory the fits need later.
+    """
+    heads: list[tuple[int, float]] = []
+
+    def pairs(fh):
+        for line in map(bytes.rstrip, fh):
+            if not line:
+                continue
+            if line.translate(_SKELETON_TABLE, _NUMBER_BYTES) != _DENSE_SKELETON:
+                raise _NotDense
+            head, _, body = line.partition(b" ")
+            heads.append(_parse_head(head.decode(), ""))
+            yield body.replace(b":", b" ").decode()
+
+    try:
+        # Any warning also falls back: an index such as "3.0" or "1e0", which
+        # numpy 2 rejects as int64, numpy 1.x reads with a DeprecationWarning.
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(pairs(fh), dtype=_DENSE_ROW, comments=None, delimiter=" ", ndmin=1)
+    except (_NotDense, ValueError, Warning):  # DataFormatError is a ValueError
+        return None
+    table = table["pair"]
+    features = np.ascontiguousarray(table["value"])
+    if not (np.all(table["index"] == _DENSE_INDICES) and np.all(np.isfinite(features))):
+        return None
+    labels, concentrations = zip(*heads)
+    return np.array(labels), np.array(concentrations), features
+
+
+def _parse_lines(
+    name: str, lines: list[bytes], stats: ParseStats
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse a file line by line with ``parse_sample_line``, collecting every
+    line's error into one ``DataFormatError`` named after the file."""
     rows: list[tuple[int, float, np.ndarray]] = []
     errors: list[str] = []
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(parse_sample_line(line, line_no, stats))
-            except DataFormatError as exc:
-                errors.append(str(exc))
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            errors.append(
+                f"line {line_no}: byte 0x{raw[exc.start]:02x} at offset {exc.start} is not UTF-8"
+            )
+            continue
+        if not line.strip():
+            continue
+        try:
+            rows.append(parse_sample_line(line, line_no, stats))
+        except DataFormatError as exc:
+            errors.append(str(exc))
     if errors:
         shown = "; ".join(errors[:5])
         more = f" (+{len(errors) - 5} more)" if len(errors) > 5 else ""
-        raise DataFormatError(f"{path.name}: {len(errors)} malformed line(s): {shown}{more}")
+        raise DataFormatError(f"{name}: {len(errors)} malformed line(s): {shown}{more}")
     if not rows:
-        raise DataFormatError(f"{path.name}: no samples")
+        raise DataFormatError(f"{name}: no samples")
     if stats.samples_with_missing:
         logger.warning(
             "%s: %d sample(s) had missing feature indices; %d value(s) zero-filled",
-            path.name,
+            name,
             stats.samples_with_missing,
             stats.zero_filled,
         )
     labels, concentrations, features = zip(*rows)
-    batch = Batch(
-        batch_id,
-        np.stack(features),
-        np.array(labels),
-        np.array(concentrations),
-        BATCH_MONTH_IDS.get(batch_id, ()),
-    )
+    return np.array(labels), np.array(concentrations), np.stack(features)
+
+
+def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]:
+    """Parse one batch file; line errors are aggregated into a single failure.
+
+    A file of dense lines is parsed in one pass; any other file is parsed
+    line by line with ``parse_sample_line``, which also words every error.
+    The file is read as UTF-8 whatever the locale, and a line that is not
+    valid UTF-8 is one more malformed line.
+    """
+    path = Path(path)
+    stats = ParseStats()
+    columns = _parse_dense(path)
+    if columns is not None:
+        stats.lines = len(columns[0])
+    else:
+        columns = _parse_lines(path.name, path.read_bytes().splitlines(), stats)
+    labels, concentrations, features = columns
+    batch = Batch(batch_id, features, labels, concentrations, BATCH_MONTH_IDS.get(batch_id, ()))
     return batch, stats
 
 

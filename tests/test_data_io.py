@@ -3,7 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftbench import data_io
 from driftbench.data_io import (
     Batch,
     DataFormatError,
@@ -14,6 +17,7 @@ from driftbench.data_io import (
     dataset_checksum,
     format_sample_line,
     generate_synthetic,
+    load_batch_file,
     load_dataset,
     parse_sample_line,
     write_batch_file,
@@ -137,6 +141,16 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="no samples"):
             load_dataset(tmp_path)
 
+    def test_non_utf8_byte_is_one_more_malformed_line(self, tmp_path):
+        good = dense_line(1, range(128)).encode()
+        (tmp_path / "batch1.dat").write_bytes(b"1 1:0\xff5\n" + good + b"\n9 1:1.0\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(tmp_path)
+        assert str(exc.value) == (
+            "batch1.dat: 2 malformed line(s): line 1: byte 0xff at offset 5 is not UTF-8; "
+            "line 3: label 9 outside {1..6} in token '9'"
+        )
+
     def test_write_batch_file_round_trip(self, tmp_path):
         ds = generate_synthetic(SyntheticConfig(n_classes=3, dim=128, per_class=4, n_batches=1, seed=9))
         batch = ds.batch(1)
@@ -145,6 +159,227 @@ class TestLoad:
         assert np.array_equal(back.features, batch.features)
         assert np.array_equal(back.labels, batch.labels)
         assert np.all(np.isnan(back.concentrations))
+
+
+def per_line_reference(path):
+    """Load a batch file line by line with ``parse_sample_line``, aggregating
+    errors as ``load_batch_file`` does: the reference for its one-pass path."""
+    stats = ParseStats()
+    rows, errors = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(parse_sample_line(line, line_no, stats))
+            except DataFormatError as exc:
+                errors.append(str(exc))
+    if errors:
+        shown = "; ".join(errors[:5])
+        more = f" (+{len(errors) - 5} more)" if len(errors) > 5 else ""
+        raise DataFormatError(f"{path.name}: {len(errors)} malformed line(s): {shown}{more}")
+    if not rows:
+        raise DataFormatError(f"{path.name}: no samples")
+    labels, concentrations, features = zip(*rows)
+    return np.array(labels), np.array(concentrations), np.stack(features), stats
+
+
+def assert_loads_like_reference(path):
+    """``load_batch_file`` gives bit-identical columns and equal stats to the
+    reference, or the same error text; returns that text or None."""
+    try:
+        labels, concentrations, features, ref_stats = per_line_reference(path)
+    except DataFormatError as ref_exc:
+        with pytest.raises(DataFormatError) as exc:
+            load_batch_file(path, 1)
+        assert str(exc.value) == str(ref_exc)
+        return str(exc.value)
+    batch, stats = load_batch_file(path, 1)
+    for got, want in (
+        (batch.labels, labels),
+        (batch.concentrations, concentrations),
+        (batch.features, features),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert stats == ref_stats
+    return None
+
+
+def canonical_line(label, concentration=None):
+    """A dense 128-feature line whose feature k reads ``k:k.25``."""
+    return dense_line(label, [i + 1.25 for i in range(128)], concentration)
+
+
+def forbid_per_line_parser(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the per-line parser ran on a dense file")
+
+    monkeypatch.setattr(data_io, "parse_sample_line", fail)
+
+
+def _swap_separators(tokens, k):
+    # "1:5.0 2:7.0" -> "1:5.0:2 7.0": same count of spaces and colons
+    if k + 1 < len(tokens) and ":" in tokens[k + 1]:
+        idx, _, val = tokens[k + 1].partition(":")
+        tokens[k : k + 2] = [f"{tokens[k]}:{idx}", val]
+
+
+def _set_index(text):
+    def mutate(tokens, k):
+        idx, sep, val = tokens[k].partition(":")
+        tokens[k] = text.format(idx=idx) + sep + val
+
+    return mutate
+
+
+def _set_value(text):
+    def mutate(tokens, k):
+        idx, _, val = tokens[k].partition(":")
+        tokens[k] = f"{idx}:" + text.format(val=val)
+
+    return mutate
+
+
+def _append(text):
+    def mutate(tokens, k):
+        tokens[k] += text
+
+    return mutate
+
+
+def _set_head(text):
+    def mutate(tokens, k):
+        tokens[0] = text
+
+    return mutate
+
+
+TRAPS = [
+    _swap_separators,
+    _set_index("{idx}.0"),
+    _set_index("{idx}e0"),
+    _set_index("+{idx}"),
+    _set_index("0{idx}"),
+    _set_index("{idx};1"),
+    _set_value("{val};3"),
+    _set_value("{val}#"),
+    _set_value("\t{val}"),
+    _set_value("nan"),
+    _set_value("-inf"),
+    _set_value("1e400"),
+    _set_value("1e-400"),
+    _set_value("-0.0"),
+    _set_value("1_0.5"),
+    _set_value("١.5"),
+    _set_value(""),
+    _append(" "),
+    _append("\t"),
+    _append("\x0c"),
+    _append("\r"),
+    _set_head("7"),
+    _set_head(" 3"),
+    _set_head("3;0"),
+    _set_head("3;nan"),
+    _set_head("3;12;3"),
+    lambda tokens, k: tokens.pop(k),
+    lambda tokens, k: tokens.insert(k, tokens[k]),
+    lambda tokens, k: tokens.insert(k, "#"),
+    lambda tokens, k: tokens.__setitem__(k, tokens[k].replace(":", "")),
+]
+
+
+@st.composite
+def batch_file_text(draw):
+    """A batch file of dense or sparse lines with both head forms, number
+    formats and line ends, and on some lines one trap from ``TRAPS``."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.normal(size=128) * 10.0 ** draw(st.integers(-8, 8))
+        if draw(st.integers(0, 5)):
+            indices = range(1, 129)
+        else:
+            indices = sorted(draw(st.sets(st.integers(1, 128), min_size=1, max_size=6)))
+        fmt = draw(st.sampled_from(["{!r}", "{:.6f}", "{:.3e}"]))
+        tokens = [f"{i}:" + fmt.format(float(values[i - 1])) for i in indices]
+        label = draw(st.integers(1, 6))
+        tokens.insert(0, draw(st.sampled_from([f"{label}", f"{label};250.5", f"{label};1e3"])))
+        if draw(st.integers(0, 4)) == 0:
+            draw(st.sampled_from(TRAPS))(tokens, draw(st.integers(0, len(tokens) - 1)))
+        lines.append(" ".join(tokens) + draw(st.sampled_from(["", "", " "])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestOnePass:
+    """The one-pass parse of dense files against the per-line parser."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("1:1.25 2:2.25", "1:1.25:2 2.25", "unparseable value in token '1:1.25:2'"),
+            ("3:3.25", "3.0:3.25", "malformed feature index in token '3.0:3.25'"),
+            ("1:1.25", "1e0:1.25", "malformed feature index in token '1e0:1.25'"),
+            ("5:5.25", "5:5;25", "unparseable value in token '5:5;25'"),
+            ("5:5.25", "5;6:5.25", "malformed feature index in token '5;6:5.25'"),
+            ("7:7.25", "7:7.25#", "unparseable value in token '7:7.25#'"),
+            ("128:128.25", "128:128.25 #", "malformed feature token '#'"),
+            ("9:9.25", "9:nan", "non-finite value in token '9:nan'"),
+            ("9:9.25", "9:inf", "non-finite value in token '9:inf'"),
+            ("9:9.25", "9:1e400", "non-finite value in token '9:1e400'"),
+            ("2:2.25", "2:\t2.25", "unparseable value in token '2:'"),
+            ("3;250.5", "3;0", "concentration must be positive in token '3;0'"),
+        ],
+    )
+    def test_trap_keeps_per_line_error(self, tmp_path, old, new, message):
+        lines = [canonical_line(1), canonical_line(3, "250.5"), canonical_line(2, "12.0")]
+        assert lines[1].count(old) == 1
+        lines[1] = lines[1].replace(old, new)
+        path = tmp_path / "batch1.dat"
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"batch1.dat: 1 malformed line(s): line 2: {message}"
+        assert assert_loads_like_reference(path) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{a}\r\n{b}\r\n{c}\r\n",
+            "{a} \n{b}  \n{c}\t\n",
+            "{a}\n{b}\n{c}",
+            "\n{a}\n\n  \n{b}\r\n\t\n{c}\n\n",
+        ],
+        ids=["crlf", "trailing-space", "no-final-newline", "blank-lines"],
+    )
+    def test_dense_variant_takes_one_pass(self, tmp_path, monkeypatch, text):
+        # label-only heads mixed with label;concentration heads
+        a, b, c = canonical_line(1), canonical_line(3, "250.5"), canonical_line(6, "1e3")
+        path = tmp_path / "batch1.dat"
+        path.write_bytes(text.format(a=a, b=b, c=c).encode())
+        forbid_per_line_parser(monkeypatch)  # the reference keeps its own binding
+        assert assert_loads_like_reference(path) is None
+
+    def test_canonical_dense_file_never_reaches_per_line_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        conc = rng.uniform(5, 1000, 6)
+        conc[::2] = math.nan
+        batch = Batch(1, rng.normal(size=(6, 128)) * 1e3, rng.integers(1, 7, 6), conc)
+        write_batch_file(tmp_path / "batch1.dat", batch)
+        forbid_per_line_parser(monkeypatch)
+        back, stats = load_batch_file(tmp_path / "batch1.dat", 1)
+        assert back.features.tobytes() == batch.features.tobytes()
+        assert back.labels.tobytes() == batch.labels.tobytes()
+        assert back.concentrations.tobytes() == batch.concentrations.tobytes()
+        assert stats == ParseStats(lines=6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=batch_file_text())
+    def test_matches_per_line_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("gen") / "batch1.dat"
+        path.write_bytes(text.encode())
+        assert_loads_like_reference(path)
 
 
 class TestTypes:
@@ -235,6 +470,17 @@ class TestChecksum:
         (tmp_path / "batch2.dat").write_text("6;12.0 1:1e3 2:-4.5\n")
         assert dataset_checksum(load_dataset(tmp_path)) == (
             "c3b3afec78939f4c24ae1cd03814b0231f1429528edb2ee97ac5a395b3bc6536"
+        )
+
+    def test_dense_digest_pinned(self, tmp_path):
+        rng = np.random.default_rng(21)
+        for bid, n in ((1, 4), (2, 3)):
+            conc = rng.uniform(5, 1000, n)
+            conc[::2] = math.nan  # both head forms
+            batch = Batch(bid, rng.normal(size=(n, 128)) * 1e3, rng.integers(1, 7, n), conc)
+            write_batch_file(tmp_path / f"batch{bid}.dat", batch)
+        assert dataset_checksum(load_dataset(tmp_path)) == (
+            "4a0525c0f12c28bd65b369bb44dc9307fcc881b67e5c351bf692fde8f88d955a"
         )
 
 
