@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import ClassifierConfig, predict, train_with_config
+from .classifier import ClassifierConfig, LogRegModel, predict, train_with_config
 from .data_io import Batch, Dataset
 from .preprocess import center_matrix
 from .subspace import DrcaConfig, LdspConfig, drca_fit, ldsp_fit, project
@@ -138,13 +138,21 @@ def split_calibration(dataset: Dataset) -> tuple[Batch, list[TargetBatch], Label
     return calibration, targets, store
 
 
+def train_calibration_model(calibration: Batch, clf_config: ClassifierConfig) -> LogRegModel:
+    """The zero-start model on the calibration batch that `none` and `selftrain` share."""
+    return train_with_config(calibration.feature_matrix(), calibration.label_vector(), clf_config)
+
+
 def run_no_adaptation(
     calibration: Batch,
     targets: Sequence[TargetBatch],
     clf_config: ClassifierConfig,
+    calibration_model: LogRegModel | None = None,
 ) -> list[PredictionSet]:
-    """Train once on calibration and apply the model verbatim to each target."""
-    model = train_with_config(calibration.feature_matrix(), calibration.label_vector(), clf_config)
+    """Apply the calibration model (trained here if not given) to each target."""
+    model = calibration_model
+    if model is None:
+        model = train_calibration_model(calibration, clf_config)
     out = []
     for t in targets:
         pred, conf = predict(model, t.features)
@@ -203,6 +211,7 @@ def run_self_training(
     st_config: SelfTrainConfig,
     clf_config: ClassifierConfig,
     trace: list | None = None,
+    calibration_model: LogRegModel | None = None,
 ) -> list[PredictionSet]:
     """Confidence-gated pseudo-labeling, batches processed in ascending order.
 
@@ -214,7 +223,9 @@ def run_self_training(
     mode the pool carries across batches; otherwise it resets to the
     calibration data for every batch.  Every fit after the first starts from
     the weights of the model trained before it: the pool changes little
-    between fits, and the optimum does not depend on the start.
+    between fits, and the optimum does not depend on the start.  A given
+    ``calibration_model`` stands in for the first fit, which is the
+    zero-start fit on the calibration batch alone.
     """
     ordered = sorted(targets, key=lambda t: t.batch_id)
     X0 = calibration.feature_matrix()
@@ -231,12 +242,15 @@ def run_self_training(
         pred = conf = None
         rounds = 0
         for _ in range(st_config.max_rounds):
-            model = train_with_config(
-                np.vstack(pool_X),
-                np.concatenate(pool_y),
-                clf_config,
-                init_weights=None if model is None else model.weights,
-            )
+            if model is None and calibration_model is not None:
+                model = calibration_model
+            else:
+                model = train_with_config(
+                    np.vstack(pool_X),
+                    np.concatenate(pool_y),
+                    clf_config,
+                    init_weights=None if model is None else model.weights,
+                )
             pred, conf = predict(model, t.features)
             rounds += 1
             gate = (conf >= st_config.confidence_threshold) & ~added
@@ -263,14 +277,21 @@ def run_method(
     calibration: Batch,
     targets: Sequence[TargetBatch],
     clf_config: ClassifierConfig,
+    calibration_model: LogRegModel | None = None,
 ) -> list[PredictionSet]:
-    """Dispatch one strategy over the given targets."""
+    """Dispatch one strategy over the given targets.
+
+    ``calibration_model`` is handed to the strategies that start from the
+    plain calibration fit (`none` and `selftrain`) and ignored by the rest.
+    """
     if spec.name == "none":
-        return run_no_adaptation(calibration, targets, clf_config)
+        return run_no_adaptation(calibration, targets, clf_config, calibration_model)
     if spec.name == "means":
         return run_means_correction(calibration, targets, clf_config)
     if spec.name == "drca":
         return run_subspace_method(calibration, targets, "drca", spec.drca, clf_config)
     if spec.name == "ldsp":
         return run_subspace_method(calibration, targets, "ldsp", spec.ldsp, clf_config)
-    return run_self_training(calibration, targets, spec.selftrain, clf_config)
+    return run_self_training(
+        calibration, targets, spec.selftrain, clf_config, calibration_model=calibration_model
+    )

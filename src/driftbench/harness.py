@@ -26,6 +26,7 @@ from .adaptation import (
     split_calibration,
     strip_labels,
     run_method,
+    train_calibration_model,
 )
 from .config import ConfigError, RunConfig
 from .data_io import (
@@ -143,16 +144,21 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     calibration, targets, labels = split_calibration(dataset)
     reference = strip_labels(dataset.batch(REFERENCE_BATCH_ID))
 
+    # `none` and `selftrain` both start from the plain calibration fit; it is
+    # deterministic, so one fit serves both.
+    shared = None
+    if {"none", "selftrain"} & set(cfg.methods):
+        shared = train_calibration_model(calibration, cfg.classifier)
     grid = {}
     for name in cfg.methods:
         spec = method_spec(name, cfg)
         if name == "selftrain":
             # A separate call for batch 1, so its pseudo-labels never enter
             # the pool that batches 2..N grow.
-            preds = run_method(spec, calibration, [reference], cfg.classifier)
-            preds += run_method(spec, calibration, targets, cfg.classifier)
+            preds = run_method(spec, calibration, [reference], cfg.classifier, shared)
+            preds += run_method(spec, calibration, targets, cfg.classifier, shared)
         else:
-            preds = run_method(spec, calibration, [reference] + targets, cfg.classifier)
+            preds = run_method(spec, calibration, [reference] + targets, cfg.classifier, shared)
         grid.update(evaluate_predictions(preds, labels, cfg.f1_average))
     report = EvalReport(
         grid=grid,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 PROJECTION_KINDS = ("pca", "lda", "drca", "ldsp")
 
@@ -197,7 +196,12 @@ def lda_fit(samples: np.ndarray, labels, k: int) -> LinearProjection:
         # zero within-class scatter (one point per class) still needs an invertible B
         eps = 1e-12
     B = s_w + eps * np.eye(d)
-    vals, vecs = scipy.linalg.eigh(s_b, B)
+    # Cholesky reduction to a standard symmetric problem: with B = L L^T,
+    # S_b v = eta B v becomes (L^-1 S_b L^-T) u = eta u and v = L^-T u.
+    L = np.linalg.cholesky(B)
+    C = np.linalg.solve(L, np.linalg.solve(L, s_b).T)
+    vals, vecs = np.linalg.eigh(0.5 * (C + C.T))
+    vecs = np.linalg.solve(L.T, vecs)
     order = np.argsort(-vals, kind="stable")
     vecs = vecs[:, order[:k]]
     vals = vals[order[:k]]

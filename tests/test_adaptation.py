@@ -214,6 +214,30 @@ class TestSelfTraining:
             assert np.array_equal(w.predicted, c.predicted)
         assert sum(warm_iters) < sum(cold_iters)
 
+    @pytest.mark.parametrize("cumulative", [True, False])
+    def test_shared_calibration_model_changes_nothing(self, small_synth, monkeypatch, cumulative):
+        cal, targets, _ = split_calibration(small_synth)
+        st = SelfTrainConfig(confidence_threshold=0.9, max_rounds=4, cumulative=cumulative)
+        shared = adaptation.train_calibration_model(cal, CLF)
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return train_with_config(*args, **kwargs)
+
+        monkeypatch.setattr(adaptation, "train_with_config", counted)
+        own_trace, given_trace = [], []
+        own = run_self_training(cal, targets, st, CLF, trace=own_trace)
+        own_fits = len(fits)
+        given = run_self_training(
+            cal, targets, st, CLF, trace=given_trace, calibration_model=shared
+        )
+        assert len(fits) - own_fits == own_fits - 1
+        assert given_trace == own_trace
+        for a, b in zip(own, given):
+            assert np.array_equal(a.predicted, b.predicted)
+            assert np.array_equal(a.confidence, b.confidence)
+
 
 class TestMethodSpec:
     def test_requires_matching_config(self):

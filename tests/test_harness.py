@@ -85,6 +85,22 @@ class TestRunExperiment:
         assert len(calls) == fits
         assert sorted(b for _, b in report.grid) == [1, 2, 3, 4, 5]
 
+    def test_none_and_selftrain_share_one_calibration_fit(self, monkeypatch):
+        cfg = synth_config(methods="none,selftrain")
+        n_calibration = len(load_input_dataset(cfg).batch(1))
+        zero_start = []
+        real = adaptation.train_with_config
+
+        def counting(X, y, config, init_weights=None):
+            if init_weights is None and X.shape[0] == n_calibration:
+                zero_start.append(1)
+            return real(X, y, config, init_weights)
+
+        monkeypatch.setattr(adaptation, "train_with_config", counting)
+        report = run_experiment(cfg)
+        assert len(zero_start) == 1
+        assert sorted(report.grid) == [(m, b) for m in ("none", "selftrain") for b in range(1, 6)]
+
     def test_impossible_components_fail_before_any_fit(self, monkeypatch):
         calls = []
         monkeypatch.setattr(adaptation, "train_with_config", lambda *a, **k: calls.append(1))

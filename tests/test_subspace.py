@@ -127,6 +127,27 @@ class TestLda:
         proj = lda_fit(X, y, 2)
         assert np.allclose(np.linalg.norm(proj.matrix, axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_generalized_eigen_residuals_at_full_dimension(self, duplicated):
+        # 6 classes, D = 128; duplicated columns make S_w rank-deficient
+        rng = np.random.default_rng(13)
+        y = np.repeat(np.arange(1, 7), 60)
+        X = rng.normal(size=(6, 128))[y - 1] + rng.normal(size=(360, 128)) * rng.uniform(
+            0.2, 3.0, size=128
+        )
+        if duplicated:
+            X[:, 64:] = X[:, :64]
+        s_w, s_b = scatter_matrices(X, y)
+        assert np.linalg.matrix_rank(s_w) == (64 if duplicated else 128)
+        proj = lda_fit(X, y, 5)
+        B = s_w + 1e-6 * np.trace(s_w) / 128 * np.eye(128)
+        b_norm = np.linalg.norm(B, 2)
+        for eta, v in zip(proj.eigenvalues, proj.matrix.T):
+            residual = np.linalg.norm(s_b @ v - eta * (B @ v))
+            assert residual <= 1e-9 * b_norm * np.linalg.norm(v)
+        assert np.all(np.diff(proj.eigenvalues) <= 0)
+        assert np.allclose(np.linalg.norm(proj.matrix, axis=0), 1.0, atol=1e-12)
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
             lda_fit(np.zeros((5, 3)), [1] * 5, 1)
