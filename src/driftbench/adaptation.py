@@ -50,27 +50,6 @@ class SelfTrainConfig:
 
 
 @dataclass(frozen=True)
-class MethodSpec:
-    """A strategy name plus exactly the config that strategy needs."""
-
-    name: str
-    drca: DrcaConfig | None = None
-    ldsp: LdspConfig | None = None
-    selftrain: SelfTrainConfig | None = None
-
-    def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ValueError(f"unknown method '{self.name}'")
-        required = {"drca": "drca", "ldsp": "ldsp", "selftrain": "selftrain"}.get(self.name)
-        for field_name in ("drca", "ldsp", "selftrain"):
-            value = getattr(self, field_name)
-            if field_name == required and value is None:
-                raise ValueError(f"method '{self.name}' requires a {field_name} config")
-            if field_name != required and value is not None:
-                raise ValueError(f"method '{self.name}' must not carry a {field_name} config")
-
-
-@dataclass(frozen=True)
 class TargetBatch:
     """Features of one post-calibration batch; labels are deliberately absent."""
 
@@ -270,28 +249,3 @@ def run_self_training(
             )
         out.append(PredictionSet("selftrain", t.batch_id, pred, conf))
     return out
-
-
-def run_method(
-    spec: MethodSpec,
-    calibration: Batch,
-    targets: Sequence[TargetBatch],
-    clf_config: ClassifierConfig,
-    calibration_model: LogRegModel | None = None,
-) -> list[PredictionSet]:
-    """Dispatch one strategy over the given targets.
-
-    ``calibration_model`` is handed to the strategies that start from the
-    plain calibration fit (`none` and `selftrain`) and ignored by the rest.
-    """
-    if spec.name == "none":
-        return run_no_adaptation(calibration, targets, clf_config, calibration_model)
-    if spec.name == "means":
-        return run_means_correction(calibration, targets, clf_config)
-    if spec.name == "drca":
-        return run_subspace_method(calibration, targets, "drca", spec.drca, clf_config)
-    if spec.name == "ldsp":
-        return run_subspace_method(calibration, targets, "ldsp", spec.ldsp, clf_config)
-    return run_self_training(
-        calibration, targets, spec.selftrain, clf_config, calibration_model=calibration_model
-    )

@@ -16,11 +16,9 @@ more iterations.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -258,32 +256,3 @@ def predict(model: LogRegModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = P.argmax(axis=1)
     return model.class_ids[idx], P[np.arange(P.shape[0]), idx]
 
-
-def model_to_json_dict(model: LogRegModel) -> dict:
-    return {
-        "class_ids": [int(c) for c in model.class_ids],
-        "weights": [[float(v) for v in row] for row in model.weights],
-        "reg_strength": model.reg_strength,
-        "trained_on_dim": model.trained_on_dim,
-        "n_iter": model.n_iter,
-        "converged": model.converged,
-    }
-
-
-def model_from_json_dict(doc: dict) -> LogRegModel:
-    return LogRegModel(
-        weights=np.array(doc["weights"], dtype=float),
-        class_ids=np.array(doc["class_ids"], dtype=int),
-        reg_strength=float(doc["reg_strength"]),
-        trained_on_dim=int(doc["trained_on_dim"]),
-        n_iter=int(doc["n_iter"]),
-        converged=bool(doc["converged"]),
-    )
-
-
-def save_model(model: LogRegModel, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(model_to_json_dict(model), indent=2) + "\n")
-
-
-def load_model(path: Path | str) -> LogRegModel:
-    return model_from_json_dict(json.loads(Path(path).read_text()))

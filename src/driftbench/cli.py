@@ -10,6 +10,7 @@ from pathlib import Path
 from .config import ConfigError, load_run_config
 from .data_io import DataFormatError, write_batch_file
 from .harness import (
+    PROJECTION_VIEWS,
     export_projections,
     load_input_dataset,
     report_from_json_dict,
@@ -17,12 +18,6 @@ from .harness import (
     run_experiment,
 )
 from .preprocess import fit_minmax, normalize_dataset
-
-PROJECT_METHODS = {
-    "pca": "pca_batch1",
-    "lda": "lda_batch1",
-    "lda-per-batch": "lda_per_batch",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true", help="print per-batch normalized extrema")
 
     p = sub.add_parser("project", parents=[common], help="export 2-D projection coordinates")
-    p.add_argument("--method", choices=sorted(PROJECT_METHODS), required=True)
+    p.add_argument("--method", choices=PROJECTION_VIEWS, required=True)
     p.add_argument("--components", type=int, default=2)
 
     p = sub.add_parser("run", parents=[common], help="run the benchmark and write reports")
@@ -111,21 +106,20 @@ def _cmd_project(args) -> int:
     dataset = load_input_dataset(cfg)
     if cfg.normalize:
         dataset = normalize_dataset(dataset)
-    path = export_projections(dataset, PROJECT_METHODS[args.method], args.out, args.components)
+    path = export_projections(dataset, args.method, args.out, args.components)
     print(f"wrote {path}")
     return 0
 
 
-def _format_grid(grid_rows) -> str:
-    methods = sorted({row["method"] for row in grid_rows})
-    batches = sorted({row["batch_id"] for row in grid_rows})
-    acc = {(r["method"], r["batch_id"]): r["accuracy"] for r in grid_rows}
+def _format_grid(grid) -> str:
+    methods = sorted({m for m, _ in grid})
+    batches = sorted({b for _, b in grid})
     width = max(len(name) for name in ["accuracy", *methods]) + 1
     header = f"{'accuracy':<{width}}" + " ".join(f"b{b:<6}" for b in batches)
     lines = [header]
     for m in methods:
         cells = " ".join(
-            f"{acc[(m, b)]:.4f} " if (m, b) in acc else "   -   " for b in batches
+            f"{grid[(m, b)].accuracy:.4f} " if (m, b) in grid else "   -   " for b in batches
         )
         lines.append(f"{m:<{width}}{cells}")
     return "\n".join(lines)
@@ -136,17 +130,13 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else Path("driftbench-out")
     report = run_experiment(cfg, out_dir=out_dir)
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
-    print(_format_grid([
-        {"method": m, "batch_id": b, "accuracy": cell.accuracy}
-        for (m, b), cell in report.grid.items()
-    ]))
+    print(_format_grid(report.grid))
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    doc = json.loads(Path(args.report_file).read_text())
-    report = report_from_json_dict(doc)
+    report = report_from_json_dict(json.loads(Path(args.report_file).read_text()))
     if args.format == "csv":
         text = report_to_csv(report)
         if args.out:
@@ -155,7 +145,7 @@ def _cmd_report(args) -> int:
         else:
             print(text, end="")
     else:
-        print(_format_grid(doc["grid"]))
+        print(_format_grid(report.grid))
     return 0
 
 
@@ -172,7 +162,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,16 +16,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from . import __version__
 from .adaptation import (
     LabelStore,
-    MethodSpec,
     PredictionSet,
+    run_means_correction,
+    run_no_adaptation,
+    run_self_training,
+    run_subspace_method,
     split_calibration,
     strip_labels,
-    run_method,
     train_calibration_model,
 )
 from .config import ConfigError, RunConfig
@@ -43,7 +43,7 @@ from .subspace import lda_fit, pca_fit, project
 # Points past this absolute projection value get the `clipped` flag in exports.
 PROJECTION_PLOT_LIMIT = 200.0
 
-PROJECTION_VIEWS = ("pca_batch1", "lda_batch1", "lda_per_batch")
+PROJECTION_VIEWS = ("pca", "lda", "lda-per-batch")
 
 REFERENCE_BATCH_ID = 1
 
@@ -87,16 +87,6 @@ def evaluate_predictions(
             n=int(actual.shape[0]),
         )
     return cells
-
-
-def method_spec(name: str, cfg: RunConfig) -> MethodSpec:
-    if name == "drca":
-        return MethodSpec("drca", drca=cfg.drca)
-    if name == "ldsp":
-        return MethodSpec("ldsp", ldsp=cfg.ldsp)
-    if name == "selftrain":
-        return MethodSpec("selftrain", selftrain=cfg.selftrain)
-    return MethodSpec(name)
 
 
 def load_input_dataset(cfg: RunConfig) -> Dataset:
@@ -149,17 +139,26 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     shared = None
     if {"none", "selftrain"} & set(cfg.methods):
         shared = train_calibration_model(calibration, cfg.classifier)
+    scored = [reference] + targets
+    clf, st = cfg.classifier, cfg.selftrain
+    # The lambdas look each strategy up by its module-global name when they
+    # run, so a tracer that swaps module attributes (perfbench/traced.py)
+    # sees every call.
+    strategies = {
+        "none": lambda: run_no_adaptation(calibration, scored, clf, shared),
+        "means": lambda: run_means_correction(calibration, scored, clf),
+        "drca": lambda: run_subspace_method(calibration, scored, "drca", cfg.drca, clf),
+        "ldsp": lambda: run_subspace_method(calibration, scored, "ldsp", cfg.ldsp, clf),
+        # A separate call for batch 1, so its pseudo-labels never enter the
+        # pool that batches 2..N grow.
+        "selftrain": lambda: (
+            run_self_training(calibration, [reference], st, clf, calibration_model=shared)
+            + run_self_training(calibration, targets, st, clf, calibration_model=shared)
+        ),
+    }
     grid = {}
     for name in cfg.methods:
-        spec = method_spec(name, cfg)
-        if name == "selftrain":
-            # A separate call for batch 1, so its pseudo-labels never enter
-            # the pool that batches 2..N grow.
-            preds = run_method(spec, calibration, [reference], cfg.classifier, shared)
-            preds += run_method(spec, calibration, targets, cfg.classifier, shared)
-        else:
-            preds = run_method(spec, calibration, [reference] + targets, cfg.classifier, shared)
-        grid.update(evaluate_predictions(preds, labels, cfg.f1_average))
+        grid.update(evaluate_predictions(strategies[name](), labels, cfg.f1_average))
     report = EvalReport(
         grid=grid,
         config_echo=cfg.echo(),
@@ -208,21 +207,25 @@ def report_to_json_dict(report: EvalReport) -> dict:
     return doc
 
 
-def report_from_json_dict(doc: dict) -> EvalReport:
-    grid = {
-        (row["method"], int(row["batch_id"])): Cell(
-            accuracy=float(row["accuracy"]),
-            macro_f1=float(row["macro_f1"]),
-            n=int(row["n"]),
-        )
-        for row in doc["grid"]
-    }
-    return EvalReport(
-        grid=grid,
-        config_echo=dict(doc["config"]),
-        provenance=dict(doc["provenance"]),
-        created_at=doc.get("created_at"),
-    )
+def report_from_json_dict(doc) -> EvalReport:
+    """Rebuild a report from its JSON form; a ValueError names what is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError("report is not a JSON object")
+    try:
+        grid = {
+            (row["method"], int(row["batch_id"])): Cell(
+                accuracy=float(row["accuracy"]),
+                macro_f1=float(row["macro_f1"]),
+                n=int(row["n"]),
+            )
+            for row in doc["grid"]
+        }
+        config_echo, provenance = dict(doc["config"]), dict(doc["provenance"])
+    except KeyError as exc:
+        raise ValueError(f"report has no key {exc.args[0]!r}") from None
+    except TypeError:
+        raise ValueError("report has a malformed grid row, config or provenance") from None
+    return EvalReport(grid, config_echo, provenance, created_at=doc.get("created_at"))
 
 
 def export_report(report: EvalReport, out_dir: Path | str) -> tuple[Path, Path]:
@@ -241,8 +244,8 @@ def export_report(report: EvalReport, out_dir: Path | str) -> tuple[Path, Path]:
 def projection_rows(dataset: Dataset, which: str, components: int = 2) -> list[tuple]:
     """2-D projection of every sample: (batch_id, label, x, y, clipped).
 
-    ``pca_batch1`` and ``lda_batch1`` fit on batch 1 and apply one map to all
-    batches; ``lda_per_batch`` refits on each batch's own labels.  Points are
+    ``pca`` and ``lda`` fit on batch 1 and apply one map to all batches;
+    ``lda-per-batch`` refits on each batch's own labels.  Points are
     never dropped; those past the plot limit only carry the flag.
     """
     if which not in PROJECTION_VIEWS:
@@ -251,9 +254,9 @@ def projection_rows(dataset: Dataset, which: str, components: int = 2) -> list[t
         raise ValueError("projection export needs at least 2 components")
     rows = []
     fixed = None
-    if which == "pca_batch1":
+    if which == "pca":
         fixed = pca_fit(dataset.batch(1).feature_matrix(), components)
-    elif which == "lda_batch1":
+    elif which == "lda":
         b1 = dataset.batch(1)
         fixed = lda_fit(b1.feature_matrix(), b1.label_vector(), components)
     for bid in dataset.batch_ids:

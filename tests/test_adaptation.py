@@ -5,10 +5,8 @@ import pytest
 
 import driftbench.adaptation as adaptation
 from driftbench.adaptation import (
-    MethodSpec,
     SelfTrainConfig,
     run_means_correction,
-    run_method,
     run_no_adaptation,
     run_self_training,
     run_subspace_method,
@@ -18,7 +16,7 @@ from driftbench.adaptation import (
 from driftbench.classifier import ClassifierConfig, predict, train_with_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
 from driftbench.metrics import accuracy
-from driftbench.preprocess import center_matrix
+from driftbench.preprocess import center_matrix, normalize_dataset
 from driftbench.subspace import DrcaConfig, LdspConfig
 
 CLF = ClassifierConfig(max_iter=500, tol=1e-7)
@@ -117,6 +115,28 @@ class TestSubspaceRuns:
         )
         for a, b in zip(drca, ldsp):
             assert np.array_equal(a.predicted, b.predicted)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drca_equals_ldsp_at_full_rank_for_any_weights(self, small_synth, seed):
+        # At k = D - 1 both keep the whole deflated complement, in bases that
+        # differ by a rotation the L2-penalised classifier does not see.
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        k = small_synth.feature_dim - 1
+        rng = np.random.default_rng(seed)
+        w_target, w_within, w_between = rng.uniform(0.0, [5.0, 50.0, 500.0])
+        drca = run_subspace_method(cal, targets, "drca", DrcaConfig(w_target, k), CLF)
+        ldsp = run_subspace_method(
+            cal, targets, "ldsp", LdspConfig(w_target, w_within, w_between, k), CLF
+        )
+        for a, b in zip(drca, ldsp):
+            assert np.array_equal(a.predicted, b.predicted)
+            np.testing.assert_allclose(a.confidence, b.confidence, rtol=0, atol=1e-12)
+
+    def test_drca_and_ldsp_differ_below_full_rank(self, small_synth):
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        drca = run_subspace_method(cal, targets, "drca", DrcaConfig(0.1, 2), CLF)
+        ldsp = run_subspace_method(cal, targets, "ldsp", LdspConfig(0.1, 10.0, 100.0, 2), CLF)
+        assert any(not np.array_equal(a.predicted, b.predicted) for a, b in zip(drca, ldsp))
 
     def test_unknown_method_rejected(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
@@ -238,31 +258,3 @@ class TestSelfTraining:
             assert np.array_equal(a.predicted, b.predicted)
             assert np.array_equal(a.confidence, b.confidence)
 
-
-class TestMethodSpec:
-    def test_requires_matching_config(self):
-        with pytest.raises(ValueError, match="requires"):
-            MethodSpec("drca")
-        with pytest.raises(ValueError, match="must not carry"):
-            MethodSpec("none", drca=DrcaConfig(n_components=2))
-        MethodSpec("ldsp", ldsp=LdspConfig(n_components=2))
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            MethodSpec("magic")
-
-    def test_dispatch_covers_all_methods(self, small_synth):
-        cal, targets, _ = split_calibration(small_synth)
-        dim = small_synth.feature_dim
-        specs = [
-            MethodSpec("none"),
-            MethodSpec("means"),
-            MethodSpec("drca", drca=DrcaConfig(n_components=dim - 1)),
-            MethodSpec("ldsp", ldsp=LdspConfig(n_components=dim - 1)),
-            MethodSpec("selftrain", selftrain=SelfTrainConfig(max_rounds=2)),
-        ]
-        for spec in specs:
-            out = run_method(spec, cal, targets[:1], CLF)
-            assert len(out) == 1
-            assert out[0].method == spec.name
-            assert len(out[0].predicted) == len(targets[0])

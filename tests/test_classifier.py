@@ -4,14 +4,10 @@ import pytest
 from driftbench.classifier import (
     ClassifierConfig,
     LogRegModel,
-    load_model,
-    model_from_json_dict,
-    model_to_json_dict,
     objective,
     objective_and_gradient,
     predict,
     predict_proba,
-    save_model,
     train,
     train_with_config,
 )
@@ -185,29 +181,3 @@ class TestPredict:
         with pytest.raises(ValueError, match="dim"):
             predict_proba(model, np.zeros((3, 5)))
 
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(20, 3))
-        y = rng.integers(1, 4, size=20)
-        y[:3] = [1, 2, 3]
-        model = train(X, y, reg_strength=0.05, max_iter=100)
-        back = model_from_json_dict(model_to_json_dict(model))
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.class_ids, model.class_ids)
-        assert back.trained_on_dim == model.trained_on_dim
-        P1 = predict_proba(model, X)
-        P2 = predict_proba(back, X)
-        assert np.array_equal(P1, P2)
-
-    def test_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(12, 2))
-        y = [1] * 6 + [4] * 6
-        model = train(X, y, reg_strength=0.1, max_iter=50)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.class_ids, model.class_ids)

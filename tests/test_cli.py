@@ -10,6 +10,7 @@ import pytest
 import driftbench
 from driftbench.cli import _format_grid, main
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
+from driftbench.harness import Cell
 
 SYNTH_CFG = {
     "synthetic.enabled": True,
@@ -145,13 +146,13 @@ class TestReport:
         assert "none" in table and "means" in table
 
     def test_table_columns_line_up(self, capsys):
-        rows = [
-            {"method": m, "batch_id": b, "accuracy": 0.84}
+        grid = {
+            (m, b): Cell(accuracy=0.84, macro_f1=0.8, n=10)
             for m in ("means", "none", "selftrain")
             for b in range(1, 11)
             if (m, b) != ("none", 4)
-        ]
-        lines = _format_grid(rows).splitlines()
+        }
+        lines = _format_grid(grid).splitlines()
         assert lines[0].startswith("accuracy ")
         selftrain = next(line for line in lines if line.startswith("selftrain"))
         assert selftrain.startswith("selftrain 0.8400")
@@ -162,6 +163,37 @@ class TestReport:
             cells = [line[c : c + 7].strip() for c in columns]
             assert all(re.fullmatch(r"0\.8400|-", cell) for cell in cells), line
             assert len(re.findall(r"0\.8400|-", line)) == 10, line
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"config": {}}, "'grid'"),
+            ([1, 2], "not a JSON object"),
+            (
+                {
+                    "grid": [{"method": "none", "n": 3, "accuracy": 1.0, "macro_f1": 1.0}],
+                    "config": {},
+                    "provenance": {},
+                },
+                "'batch_id'",
+            ),
+            ({"grid": [1], "config": {}, "provenance": {}}, "malformed grid row"),
+        ],
+        ids=["no-grid", "not-an-object", "row-without-batch-id", "row-not-an-object"],
+    )
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--report-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+    def test_unreadable_report_file_is_one_error_line(self, tmp_path, capsys):
+        assert main(["report", "--report-file", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_csv_format_round_trip(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -172,7 +172,7 @@ def tiny_projection_dataset():
 
 class TestProjections:
     def test_pca_rows_and_clipped_flag(self):
-        rows = projection_rows(tiny_projection_dataset(), "pca_batch1")
+        rows = projection_rows(tiny_projection_dataset(), "pca")
         assert len(rows) == 6
         by_batch = {}
         for bid, label, x, y, clipped in rows:
@@ -185,20 +185,20 @@ class TestProjections:
         assert min(xs) >= PROJECTION_PLOT_LIMIT
 
     def test_all_points_emitted_even_when_clipped(self):
-        rows = projection_rows(tiny_projection_dataset(), "pca_batch1")
+        rows = projection_rows(tiny_projection_dataset(), "pca")
         assert len(rows) == sum(len(b) for b in tiny_projection_dataset().batches.values())
 
     def test_per_batch_lda_matches_batch1_fit_on_batch1(self, small_synth):
         ds = normalize_dataset(small_synth)
-        fixed = projection_rows(ds, "lda_batch1")
-        per_batch = projection_rows(ds, "lda_per_batch")
+        fixed = projection_rows(ds, "lda")
+        per_batch = projection_rows(ds, "lda-per-batch")
         fixed_b1 = [r for r in fixed if r[0] == 1]
         per_b1 = [r for r in per_batch if r[0] == 1]
         assert fixed_b1 == per_b1
 
     def test_export_writes_csv(self, tmp_path, small_synth):
         ds = normalize_dataset(small_synth)
-        path = export_projections(ds, "lda_batch1", tmp_path / "proj.csv")
+        path = export_projections(ds, "lda", tmp_path / "proj.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "batch_id,label,x,y,clipped"
         assert len(lines) == 1 + ds.n_samples
