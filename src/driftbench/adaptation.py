@@ -36,15 +36,13 @@ METHOD_NAMES = ("none", "means", "drca", "ldsp", "selftrain")
 class SelfTrainConfig:
     """Pseudo-labeling loop settings."""
 
-    confidence_threshold: float = 0.99
+    threshold: float = 0.99
     max_rounds: int = 10
     cumulative: bool = True
 
     def __post_init__(self):
-        if not 0 < self.confidence_threshold <= 1:
-            raise ValueError(
-                f"confidence_threshold must be in (0, 1], got {self.confidence_threshold}"
-            )
+        if not 0 < self.threshold <= 1:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
@@ -232,7 +230,7 @@ def run_self_training(
                 )
             pred, conf = predict(model, t.features)
             rounds += 1
-            gate = (conf >= st_config.confidence_threshold) & ~added
+            gate = (conf >= st_config.threshold) & ~added
             if not gate.any():
                 break
             pool_X.append(t.features[gate])

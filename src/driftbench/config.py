@@ -11,7 +11,8 @@ instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .adaptation import METHOD_NAMES, SelfTrainConfig
@@ -40,6 +41,10 @@ def _as_int(v):
 def _as_float(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError("expected a number")
+    # json.loads reads NaN and Infinity; the comparison also rejects an int
+    # too large for a float.
+    if not abs(v) <= sys.float_info.max:
+        raise ValueError("expected a finite number")
     return float(v)
 
 
@@ -49,31 +54,31 @@ def _as_str(v):
     return v
 
 
-# key -> (caster, default)
-SCHEMA: dict[str, tuple] = {
-    "data.dir": (_as_str, ""),
-    "synthetic.enabled": (_as_bool, False),
-    "synthetic.n_classes": (_as_int, 6),
-    "synthetic.dim": (_as_int, 16),
-    "synthetic.per_class": (_as_int, 50),
-    "synthetic.n_batches": (_as_int, 10),
-    "synthetic.drift_step": (_as_float, 0.5),
-    "synthetic.seed": (_as_int, 7),
-    "normalize.enabled": (_as_bool, True),
-    "methods": (_as_str, "all"),
-    "drca.target_weight": (_as_float, 0.1),
-    "drca.components": (_as_int, 127),
-    "ldsp.target_weight": (_as_float, 0.1),
-    "ldsp.within_weight": (_as_float, 10.0),
-    "ldsp.between_weight": (_as_float, 100.0),
-    "ldsp.components": (_as_int, 127),
-    "selftrain.threshold": (_as_float, 0.99),
-    "selftrain.max_rounds": (_as_int, 10),
-    "selftrain.cumulative": (_as_bool, True),
-    "classifier.reg_strength": (_as_float, 1.0),
-    "classifier.tol": (_as_float, 1e-6),
-    "classifier.max_iter": (_as_int, 1000),
-    "metrics.f1_average": (_as_str, "macro"),
+_CASTERS = {bool: _as_bool, int: _as_int, float: _as_float, str: _as_str}
+
+# Each section's keys are its dataclass's fields, "<section>.<field>".
+SECTIONS = {
+    "synthetic": SyntheticConfig,
+    "drca": DrcaConfig,
+    "ldsp": LdspConfig,
+    "selftrain": SelfTrainConfig,
+    "classifier": ClassifierConfig,
+}
+
+
+def _section_defaults(*names: str) -> dict:
+    return {f"{name}.{f.name}": f.default for name in names for f in fields(SECTIONS[name])}
+
+
+# key -> default; the default's type picks the key's caster.
+SCHEMA: dict = {
+    "data.dir": "",
+    "synthetic.enabled": False,
+    **_section_defaults("synthetic"),
+    "normalize.enabled": True,
+    "methods": "all",
+    **_section_defaults("drca", "ldsp", "selftrain", "classifier"),
+    "metrics.f1_average": "macro",
 }
 
 
@@ -119,11 +124,11 @@ def resolve_config(values: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     resolved = {}
-    for key, (cast, default) in SCHEMA.items():
+    for key, default in SCHEMA.items():
         if key in values:
             try:
-                resolved[key] = cast(values[key])
-            except TypeError as exc:
+                resolved[key] = _CASTERS[type(default)](values[key])
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key '{key}': {exc}") from None
         else:
             resolved[key] = default
@@ -134,49 +139,20 @@ def resolve_config(values: dict) -> RunConfig:
             f"metrics.f1_average must be one of {F1_AVERAGES}, "
             f"got '{resolved['metrics.f1_average']}'"
         )
-    try:
-        synthetic = SyntheticConfig(
-            n_classes=resolved["synthetic.n_classes"],
-            dim=resolved["synthetic.dim"],
-            per_class=resolved["synthetic.per_class"],
-            n_batches=resolved["synthetic.n_batches"],
-            drift_step=resolved["synthetic.drift_step"],
-            seed=resolved["synthetic.seed"],
-        )
-        drca = DrcaConfig(
-            target_weight=resolved["drca.target_weight"],
-            n_components=resolved["drca.components"],
-        )
-        ldsp = LdspConfig(
-            target_weight=resolved["ldsp.target_weight"],
-            within_weight=resolved["ldsp.within_weight"],
-            between_weight=resolved["ldsp.between_weight"],
-            n_components=resolved["ldsp.components"],
-        )
-        selftrain = SelfTrainConfig(
-            confidence_threshold=resolved["selftrain.threshold"],
-            max_rounds=resolved["selftrain.max_rounds"],
-            cumulative=resolved["selftrain.cumulative"],
-        )
-        clf = ClassifierConfig(
-            reg_strength=resolved["classifier.reg_strength"],
-            tol=resolved["classifier.tol"],
-            max_iter=resolved["classifier.max_iter"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sections = {}
+    for name, cls in SECTIONS.items():
+        try:
+            sections[name] = cls(**{f.name: resolved[f"{name}.{f.name}"] for f in fields(cls)})
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{exc}") from None
     return RunConfig(
         data_dir=resolved["data.dir"],
         synthetic_enabled=resolved["synthetic.enabled"],
-        synthetic=synthetic,
         normalize=resolved["normalize.enabled"],
         methods=methods,
-        drca=drca,
-        ldsp=ldsp,
-        selftrain=selftrain,
-        classifier=clf,
         f1_average=resolved["metrics.f1_average"],
         flat=resolved,
+        **sections,
     )
 
 
@@ -184,10 +160,10 @@ def load_run_config(path: Path | str | None = None, overrides: dict | None = Non
     """Read a JSON config file (optional), apply overrides, and resolve."""
     values: dict = {}
     if path is not None:
-        raw = Path(path).read_text()
+        raw = Path(path).read_bytes()
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object of flat keys")

@@ -419,6 +419,8 @@ class SyntheticConfig:
             raise ValueError(f"per_class must be >= 2, got {self.per_class}")
         if self.n_batches < 1:
             raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:

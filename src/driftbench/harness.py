@@ -110,13 +110,11 @@ def check_components(cfg: RunConfig, dataset: Dataset) -> None:
     if len(dataset.batch_ids) < 2:
         return
     d = dataset.feature_dim
-    for key, method, k in (
-        ("drca.components", "drca", cfg.drca.n_components),
-        ("ldsp.components", "ldsp", cfg.ldsp.n_components),
-    ):
+    for method in ("drca", "ldsp"):
+        k = getattr(cfg, method).components
         if method in cfg.methods and k > d - 1:
             raise ConfigError(
-                f"{key}={k} exceeds the {d - 1} components left after deflation "
+                f"{method}.components={k} exceeds the {d - 1} components left after deflation "
                 f"of the D={d} features"
             )
 

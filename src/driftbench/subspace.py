@@ -27,13 +27,13 @@ class DrcaConfig:
     """Weighted-covariance deflation transform settings."""
 
     target_weight: float = 0.1
-    n_components: int = 127
+    components: int = 127
 
     def __post_init__(self):
         if self.target_weight < 0:
             raise ValueError(f"target_weight must be >= 0, got {self.target_weight}")
-        if self.n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {self.n_components}")
+        if self.components < 1:
+            raise ValueError(f"components must be >= 1, got {self.components}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class LdspConfig:
     target_weight: float = 0.1
     within_weight: float = 10.0
     between_weight: float = 100.0
-    n_components: int = 127
+    components: int = 127
 
     def __post_init__(self):
         if self.target_weight < 0:
@@ -52,8 +52,8 @@ class LdspConfig:
             raise ValueError(f"within_weight must be >= 0, got {self.within_weight}")
         if self.between_weight < 0:
             raise ValueError(f"between_weight must be >= 0, got {self.between_weight}")
-        if self.n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {self.n_components}")
+        if self.components < 1:
+            raise ValueError(f"components must be >= 1, got {self.components}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def drca_fit(source: np.ndarray, target: np.ndarray, config: DrcaConfig) -> Line
     returned column is orthogonal to the mean difference, and projection
     centers each domain by its own mean.
     """
-    return _deflated_fit(source, target, None, config.target_weight, config.n_components, "drca")
+    return _deflated_fit(source, target, None, config.target_weight, config.components, "drca")
 
 
 def ldsp_fit(
@@ -284,9 +284,7 @@ def ldsp_fit(
         raise ValueError("LDSP needs at least 2 source classes")
     s_w, s_b = scatter_matrices(source, y)
     extra = -config.within_weight * s_w + config.between_weight * s_b
-    return _deflated_fit(
-        source, target, extra, config.target_weight, config.n_components, "ldsp"
-    )
+    return _deflated_fit(source, target, extra, config.target_weight, config.components, "ldsp")
 
 
 def project(p: LinearProjection, samples: np.ndarray, domain: str) -> np.ndarray:

@@ -97,7 +97,7 @@ class TestSubspaceRuns:
         cal, _, store = split_calibration(small_synth)
         dim = small_synth.feature_dim
         ps = run_subspace_method(
-            cal, [strip_labels(cal)], "drca", DrcaConfig(n_components=dim - 1), CLF
+            cal, [strip_labels(cal)], "drca", DrcaConfig(components=dim - 1), CLF
         )
         none = run_no_adaptation(cal, [strip_labels(cal)], CLF)
         acc_drca = batch_accuracies(ps, store)[0]
@@ -141,7 +141,7 @@ class TestSubspaceRuns:
     def test_unknown_method_rejected(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
         with pytest.raises(ValueError, match="method"):
-            run_subspace_method(cal, targets, "pca", DrcaConfig(n_components=2), CLF)
+            run_subspace_method(cal, targets, "pca", DrcaConfig(components=2), CLF)
 
 
 class TestSelfTraining:
@@ -150,7 +150,7 @@ class TestSelfTraining:
         heavy_reg = ClassifierConfig(reg_strength=5.0, max_iter=500, tol=1e-7)
         trace = []
         st = run_self_training(
-            cal, targets, SelfTrainConfig(confidence_threshold=1.0, max_rounds=5), heavy_reg,
+            cal, targets, SelfTrainConfig(threshold=1.0, max_rounds=5), heavy_reg,
             trace=trace,
         )
         none = run_no_adaptation(cal, targets, heavy_reg)
@@ -165,7 +165,7 @@ class TestSelfTraining:
         st = run_self_training(
             cal,
             targets,
-            SelfTrainConfig(confidence_threshold=0.9, max_rounds=1, cumulative=False),
+            SelfTrainConfig(threshold=0.9, max_rounds=1, cumulative=False),
             CLF,
             trace=trace,
         )
@@ -180,7 +180,7 @@ class TestSelfTraining:
         run_self_training(
             cal,
             targets,
-            SelfTrainConfig(confidence_threshold=0.8, max_rounds=6, cumulative=True),
+            SelfTrainConfig(threshold=0.8, max_rounds=6, cumulative=True),
             CLF,
             trace=trace,
         )
@@ -196,7 +196,7 @@ class TestSelfTraining:
         run_self_training(
             cal,
             targets,
-            SelfTrainConfig(confidence_threshold=0.8, max_rounds=6, cumulative=False),
+            SelfTrainConfig(threshold=0.8, max_rounds=6, cumulative=False),
             CLF,
             trace=trace,
         )
@@ -205,7 +205,7 @@ class TestSelfTraining:
 
     def test_deterministic(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
-        cfg = SelfTrainConfig(confidence_threshold=0.95, max_rounds=4)
+        cfg = SelfTrainConfig(threshold=0.95, max_rounds=4)
         a = run_self_training(cal, targets, cfg, CLF)
         b = run_self_training(cal, targets, cfg, CLF)
         for x, y in zip(a, b):
@@ -214,7 +214,7 @@ class TestSelfTraining:
 
     def test_warm_start_keeps_predictions_and_saves_iterations(self, small_synth, monkeypatch):
         cal, targets, _ = split_calibration(small_synth)
-        st = SelfTrainConfig(confidence_threshold=0.9, max_rounds=4)
+        st = SelfTrainConfig(threshold=0.9, max_rounds=4)
 
         def run(cold):
             iters = []
@@ -237,7 +237,7 @@ class TestSelfTraining:
     @pytest.mark.parametrize("cumulative", [True, False])
     def test_shared_calibration_model_changes_nothing(self, small_synth, monkeypatch, cumulative):
         cal, targets, _ = split_calibration(small_synth)
-        st = SelfTrainConfig(confidence_threshold=0.9, max_rounds=4, cumulative=cumulative)
+        st = SelfTrainConfig(threshold=0.9, max_rounds=4, cumulative=cumulative)
         shared = adaptation.train_calibration_model(cal, CLF)
         fits = []
 

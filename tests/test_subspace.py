@@ -168,7 +168,7 @@ class TestDrca:
     def test_identical_domains_reduce_to_pca_subspace(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(80, 5)) @ np.diag([4, 2.5, 1.5, 0.8, 0.3])
-        proj = drca_fit(X, X.copy(), DrcaConfig(target_weight=0.1, n_components=3))
+        proj = drca_fit(X, X.copy(), DrcaConfig(target_weight=0.1, components=3))
         ref = pca_fit(X, 3)
         gap = np.linalg.norm(
             proj.matrix @ proj.matrix.T - ref.matrix @ ref.matrix.T
@@ -179,7 +179,7 @@ class TestDrca:
         rng = np.random.default_rng(22)
         src = rng.normal(size=(40, 6))
         tgt = rng.normal(size=(35, 6)) + rng.normal(size=6) * 2
-        proj = drca_fit(src, tgt, DrcaConfig(n_components=5))
+        proj = drca_fit(src, tgt, DrcaConfig(components=5))
         d = src.mean(axis=0) - tgt.mean(axis=0)
         assert np.linalg.norm(proj.matrix.T @ d) <= 1e-8 * np.linalg.norm(d)
 
@@ -187,15 +187,15 @@ class TestDrca:
         rng = np.random.default_rng(23)
         src = np.vstack([rng.normal(size=(30, 4)) + 2, rng.normal(size=(30, 4)) - 2])
         tgt = src + np.array([5.0, 0.0, 0.0, 0.0])
-        proj = drca_fit(src, tgt, DrcaConfig(n_components=3))
+        proj = drca_fit(src, tgt, DrcaConfig(components=3))
         assert np.abs(proj.matrix[0, :]).max() <= 1e-6
 
     def test_deterministic(self):
         rng = np.random.default_rng(24)
         src = rng.normal(size=(30, 5))
         tgt = rng.normal(size=(25, 5)) + 1.0
-        a = drca_fit(src, tgt, DrcaConfig(n_components=4))
-        b = drca_fit(src.copy(), tgt.copy(), DrcaConfig(n_components=4))
+        a = drca_fit(src, tgt, DrcaConfig(components=4))
+        b = drca_fit(src.copy(), tgt.copy(), DrcaConfig(components=4))
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
@@ -204,7 +204,7 @@ class TestDrca:
         src = rng.normal(size=(10, 4))
         tgt = rng.normal(size=(10, 4)) + 3
         with pytest.raises(ValueError, match="deflation"):
-            drca_fit(src, tgt, DrcaConfig(n_components=4))
+            drca_fit(src, tgt, DrcaConfig(components=4))
 
     def test_random_fit_invariants(self):
         rng = np.random.default_rng(26)
@@ -212,7 +212,7 @@ class TestDrca:
             d = int(rng.integers(3, 9))
             src = rng.normal(size=(int(rng.integers(5, 40)), d)) * rng.uniform(0.5, 4)
             tgt = rng.normal(size=(int(rng.integers(5, 40)), d)) + rng.normal(size=d)
-            cfg = DrcaConfig(target_weight=float(rng.uniform(0, 2)), n_components=d - 1)
+            cfg = DrcaConfig(target_weight=float(rng.uniform(0, 2)), components=d - 1)
             proj = drca_fit(src, tgt, cfg)
             A = covariance(src) + cfg.target_weight * covariance(tgt)
             diff = proj.source_center - proj.target_center
@@ -244,7 +244,7 @@ class TestLdsp:
 
     def test_deflation_invariant(self):
         src, y, tgt = self.seeded_instance()
-        proj = ldsp_fit(src, y, tgt, LdspConfig(n_components=3))
+        proj = ldsp_fit(src, y, tgt, LdspConfig(components=3))
         d = proj.source_center - proj.target_center
         assert np.linalg.norm(proj.matrix.T @ d) <= 1e-8 * np.linalg.norm(d)
 
@@ -257,7 +257,7 @@ class TestLdsp:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="classes"):
-            ldsp_fit(np.zeros((4, 3)), [1] * 4, np.ones((4, 3)), LdspConfig(n_components=2))
+            ldsp_fit(np.zeros((4, 3)), [1] * 4, np.ones((4, 3)), LdspConfig(components=2))
 
 
 class TestProject:
@@ -265,7 +265,7 @@ class TestProject:
         rng = np.random.default_rng(41)
         src = rng.normal(size=(20, 4))
         tgt = rng.normal(size=(20, 4)) + 2
-        proj = drca_fit(src, tgt, DrcaConfig(n_components=3))
+        proj = drca_fit(src, tgt, DrcaConfig(components=3))
         out = project(proj, src.mean(axis=0, keepdims=True), "source")
         assert np.abs(out).max() < 1e-12
 
@@ -280,7 +280,7 @@ class TestProject:
         rng = np.random.default_rng(43)
         src = rng.normal(size=(30, 5))
         tgt = rng.normal(size=(30, 5)) + 1
-        proj = drca_fit(src, tgt, DrcaConfig(n_components=3))
+        proj = drca_fit(src, tgt, DrcaConfig(components=3))
         X = rng.normal(size=(10, 5))
         out = project(proj, X, "target")
         centered = X - proj.target_center
