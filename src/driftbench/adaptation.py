@@ -164,19 +164,29 @@ def run_subspace_method(
 
     For each target, source and target are mapped into the shared subspace,
     the classifier is trained on the projected calibration data, and the
-    projected target is predicted.
+    projected target is predicted.  Every fit after the first starts from
+    the model before it, carried through feature space: weights
+    ``W_prev M_prevᵀ M_new`` (``M`` the projection matrix) and the same
+    biases, since ``project`` centres each domain on its own mean.  The
+    optimum does not depend on the start.
     """
     if method not in ("drca", "ldsp"):
         raise ValueError(f"method must be 'drca' or 'ldsp', got '{method}'")
     X = calibration.feature_matrix()
     y = calibration.label_vector()
     out = []
+    model = prev = None
     for t in targets:
         if method == "drca":
             proj = drca_fit(X, t.features, config)
         else:
             proj = ldsp_fit(X, y, t.features, config)
-        model = train_with_config(project(proj, X, "source"), y, clf_config)
+        init = None
+        if model is not None:
+            W, b = model.weights[:, :-1], model.weights[:, -1:]
+            init = np.hstack([(W @ prev.matrix.T) @ proj.matrix, b])
+        model = train_with_config(project(proj, X, "source"), y, clf_config, init_weights=init)
+        prev = proj
         pred, conf = predict(model, project(proj, t.features, "target"))
         out.append(PredictionSet(method, t.batch_id, pred, conf))
     return out

@@ -12,6 +12,18 @@ with the bias column excluded from the penalty.  It is strictly convex in
 probabilities do not depend on the optimizer or on the starting weights:
 the paper's plain gradient descent reaches the same model, only in far
 more iterations.
+
+Three things make a fit cheap without moving its optimum.  L-BFGS runs on
+centred features ``X - mu`` with biases ``b' = b + W mu``, an exact change
+of variables that leaves every logit as it was but removes the ill
+conditioning of features far from the origin (min-max data sits around
+0.5); the logits are computed from ``X`` itself, so a fit copies no
+feature matrix.  Every evaluation computes class-major (C, n) logits from
+a transposed view of ``X``, so the softmax reductions run along rows of
+samples, not along rows only C wide.  Callers that fit a sequence of
+related problems pass the previous model as ``init_weights``:
+self-training passes the model before it, and DRCA/LDSP pass the previous
+target's model carried through feature space (see ``adaptation``).
 """
 
 from __future__ import annotations
@@ -87,26 +99,72 @@ def objective(params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, reg_strength
     return nll + reg_strength * float((W * W).sum())
 
 
+def _label_picks(y_idx: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices of each sample's true-class entry in a (C, n) array."""
+    return np.asarray(y_idx) * n + np.arange(n)
+
+
+def _kernel(
+    params: np.ndarray,
+    X: np.ndarray,
+    center: np.ndarray,
+    picks: np.ndarray,
+    n_classes: int,
+    reg_strength: float,
+) -> tuple[float, np.ndarray]:
+    """Objective and gradient at the flat centred parameters ``(W, b')``.
+
+    ``b' = b + W center`` are the biases of the centred features
+    ``X - center``.  The logits ``W (x - center) + b'`` equal ``W x + b``,
+    so they are computed from ``X`` itself, with no centred copy, and the
+    centring enters the gradient only as ``-g_b' centerᵀ`` on the weights.
+    Logits are class-major, ``W @ X.T`` of shape (C, n) through a
+    transposed view of ``X``, so the softmax reductions run over the short
+    class axis 0 across whole rows of samples.
+    """
+    n = X.shape[0]
+    P = params.reshape(n_classes, -1)
+    W = P[:, :-1]
+    Zt = W @ X.T
+    Zt += (P[:, -1] - W @ center)[:, None]
+    Zt -= Zt.max(axis=0)
+    # mean(lse - z_true) with both shifted by the column max m: lse - m = log(denom)
+    z_true = float(Zt.ravel()[picks].sum())
+    E = np.exp(Zt, out=Zt)
+    denom = E.sum(axis=0)
+    nll = (float(np.log(denom).sum()) - z_true) / n
+    loss = nll + reg_strength * float(np.vdot(W, W))
+    E /= denom
+    E.ravel()[picks] -= 1.0
+    E /= n
+    g_b = E.sum(axis=1)
+    g_W = E @ X
+    g_W += (2.0 * reg_strength) * W - np.multiply.outer(g_b, center)
+    return loss, np.hstack([g_W, g_b[:, None]]).ravel()
+
+
 def objective_and_gradient(
     params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, reg_strength: float
 ) -> tuple[float, np.ndarray]:
     """Objective value and its gradient with respect to the full parameter matrix."""
-    n = X.shape[0]
-    W, b = params[:, :-1], params[:, -1]
-    Z = X @ W.T + b
-    m = Z.max(axis=1)
-    logp = Z - m[:, None]
-    e = np.exp(logp)
-    denom = e.sum(axis=1)
-    lse = m + np.log(denom)
-    nll = float(np.mean(lse - Z[np.arange(n), y_idx]))
-    loss = nll + reg_strength * float((W * W).sum())
-    P = e / denom[:, None]
-    P[np.arange(n), y_idx] -= 1.0
-    P /= n
-    gW = P.T @ X + 2.0 * reg_strength * W
-    gb = P.sum(axis=0)
-    return loss, np.hstack([gW, gb[:, None]])
+    params = np.asarray(params, dtype=float)
+    X = np.asarray(X, dtype=float)
+    C = params.shape[0]
+    n, k = X.shape
+    loss, grad = _kernel(params.ravel(), X, np.zeros(k), _label_picks(y_idx, n), C, reg_strength)
+    return loss, grad.reshape(C, -1)
+
+
+def _uncentred_grad_norm(grad: np.ndarray, center: np.ndarray, n_classes: int) -> float:
+    """Infinity-norm of the gradient with respect to the uncentred ``(W, b)``.
+
+    With ``b' = b + W center``, the chain rule gives ``g_W + g_b' centerᵀ``
+    for the weights and ``g_b'`` for the biases.
+    """
+    G = grad.reshape(n_classes, -1)
+    g_b = G[:, -1]
+    g_W = G[:, :-1] + np.multiply.outer(g_b, center)
+    return max(float(np.abs(g_W).max()), float(np.abs(g_b).max()))
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
@@ -142,6 +200,14 @@ def train(
     spent.  ``reg_strength`` is the literal coefficient on ||W||_F^2; the
     loss term is a per-sample mean, so duplicating the training set leaves
     the optimization problem unchanged.
+
+    L-BFGS runs on the centred features ``X - mu`` (``mu`` the column
+    means) with biases ``b' = b + W mu``: the logits, and so every objective
+    value, are the same as for ``(W, b)`` on ``X``, but the problem is far
+    better conditioned when ``X`` sits away from the origin.  The stop test,
+    ``converged`` and the warning read the gradient with respect to the
+    uncentred ``(W, b)``, so ``tol`` keeps its meaning, and the returned
+    weights are the uncentred ``(W, b)``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -170,13 +236,18 @@ def train(
             raise ValueError(f"init_weights shape {params.shape} does not match {(C, k + 1)}")
         if not np.all(np.isfinite(params)):
             raise ValueError("init_weights must be finite")
-    loss, grad = objective_and_gradient(params, X, y_idx, reg_strength)
+    mu = X.mean(axis=0)
+    picks = _label_picks(y_idx, n)
+    params[:, -1] += params[:, :-1] @ mu
+    params = params.ravel()
+
+    loss, grad = _kernel(params, X, mu, picks, C, reg_strength)
     trace = [loss]
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     converged = False
     n_iter = 0
     while n_iter < max_iter:
-        if np.abs(grad).max() <= tol:
+        if _uncentred_grad_norm(grad, mu, C) <= tol:
             converged = True
             break
         direction = _lbfgs_direction(grad, pairs)
@@ -187,7 +258,7 @@ def train(
         step = 1.0
         while step >= MIN_STEP:
             trial = params + step * direction
-            trial_loss, trial_grad = objective_and_gradient(trial, X, y_idx, reg_strength)
+            trial_loss, trial_grad = _kernel(trial, X, mu, picks, C, reg_strength)
             if trial_loss <= loss + ARMIJO_C * step * slope:
                 break
             step *= 0.5
@@ -201,17 +272,20 @@ def train(
         params, loss, grad = trial, trial_loss, trial_grad
         trace.append(loss)
         n_iter += 1
-    if not converged and np.abs(grad).max() <= tol:
+    grad_norm = _uncentred_grad_norm(grad, mu, C)
+    if not converged and grad_norm <= tol:
         converged = True
     if not converged:
         logger.warning(
             "optimizer stopped after %d iteration(s) with gradient norm %.3e > tol %.1e",
             n_iter,
-            float(np.abs(grad).max()),
+            grad_norm,
             tol,
         )
+    weights = params.reshape(C, k + 1)
+    weights[:, -1] -= weights[:, :-1] @ mu
     return LogRegModel(
-        weights=params,
+        weights=weights,
         class_ids=class_ids,
         reg_strength=float(reg_strength),
         trained_on_dim=k,

@@ -143,6 +143,33 @@ class TestSubspaceRuns:
         with pytest.raises(ValueError, match="method"):
             run_subspace_method(cal, targets, "pca", DrcaConfig(components=2), CLF)
 
+    @pytest.mark.parametrize("method", ["drca", "ldsp"])
+    def test_warm_start_keeps_predictions_and_saves_iterations(
+        self, small_synth, monkeypatch, method
+    ):
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        k = small_synth.feature_dim - 1
+        config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
+
+        def run(cold):
+            iters = []
+
+            def counted(X, y, config, init_weights=None):
+                model = train_with_config(X, y, config, None if cold else init_weights)
+                iters.append(model.n_iter)
+                return model
+
+            monkeypatch.setattr(adaptation, "train_with_config", counted)
+            return run_subspace_method(cal, targets, method, config, CLF), iters
+
+        warm, warm_iters = run(cold=False)
+        cold, cold_iters = run(cold=True)
+        assert len(warm_iters) == len(cold_iters) == len(targets) > 1
+        for w, c in zip(warm, cold):
+            assert np.array_equal(w.predicted, c.predicted)
+            np.testing.assert_allclose(w.confidence, c.confidence, rtol=0, atol=1e-5)
+        assert sum(warm_iters) < sum(cold_iters)
+
 
 class TestSelfTraining:
     def test_unreachable_threshold_equals_no_adaptation(self, small_synth):

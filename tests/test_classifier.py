@@ -11,6 +11,7 @@ from driftbench.classifier import (
     train,
     train_with_config,
 )
+from driftbench.data_io import SyntheticConfig, generate_synthetic
 
 
 def finite_difference_gradient(params, X, y_idx, reg, h=1e-6):
@@ -42,6 +43,21 @@ class TestTrain:
         numeric = finite_difference_gradient(params, X, y_idx, reg=0.05)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert (np.abs(analytic - numeric) / denom).max() < 1e-5
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0])
+    def test_losses_match_the_reference_objective(self, offset):
+        # The kernel and the centred change of variables leave every
+        # objective value as `objective` computes it on the caller's (W, b).
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 4)) + offset
+        y_idx = np.arange(30) % 3
+        params = rng.normal(size=(3, 5)) * 0.1
+        loss, _ = objective_and_gradient(params, X, y_idx, reg_strength=0.05)
+        assert loss == pytest.approx(objective(params, X, y_idx, 0.05), rel=1e-12)
+        model = train(X, y_idx, reg_strength=0.05)
+        assert model.loss_trace[-1] == pytest.approx(
+            objective(model.weights, X, y_idx, 0.05), rel=1e-9
+        )
 
     def test_duplicated_data_gives_same_model(self):
         rng = np.random.default_rng(6)
@@ -101,6 +117,37 @@ class TestTrain:
         model = train_with_config(X, y, ClassifierConfig())
         assert model.converged
         assert model.n_iter < ClassifierConfig().max_iter
+
+    @pytest.mark.parametrize("offset", [5.0, 50.0])
+    def test_constant_offset_changes_neither_weights_nor_convergence(self, offset):
+        # A shift of every feature is absorbed by the biases alone, so the
+        # fit must reach tol, in about the same iterations, at the same W.
+        batch = generate_synthetic(SyntheticConfig(dim=10, per_class=40)).batch(1)
+        X, y = batch.feature_matrix(), batch.label_vector()
+        base = train_with_config(X, y, ClassifierConfig())
+        shifted = train_with_config(X + offset, y, ClassifierConfig())
+        assert base.converged and shifted.converged
+        assert shifted.n_iter <= 2 * base.n_iter
+        np.testing.assert_allclose(
+            shifted.weights[:, :-1], base.weights[:, :-1], rtol=0, atol=1e-4
+        )
+
+    @pytest.mark.parametrize("offset", [0.0, 5.0])
+    def test_converged_means_uncentred_gradient_within_tol(self, offset):
+        # `converged` reads the gradient in the caller's (W, b), not in the
+        # centred variables the optimizer works in; the two differ by the
+        # bias gradient times the feature means, so the offset makes them
+        # part (a stop test on the centred gradient fails at offset 5).
+        rng = np.random.default_rng(3)
+        y = np.arange(300) % 4 + 1
+        X = rng.normal(0.0, 0.5, (4, 20))[y - 1] + rng.standard_normal((300, 20))
+        X = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0)) + offset
+        config = ClassifierConfig()
+        model = train_with_config(X, y, config)
+        assert model.converged
+        y_idx = np.searchsorted(model.class_ids, y)
+        _, grad = objective_and_gradient(model.weights, X, y_idx, config.reg_strength / len(y))
+        assert np.abs(grad).max() <= config.tol
 
     def test_start_from_converged_weights_takes_no_step(self):
         rng = np.random.default_rng(11)
