@@ -149,7 +149,7 @@ class TestSubspaceRuns:
     ):
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         k = small_synth.feature_dim - 1
-        config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
+        proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
 
         def run(cold):
             iters = []
@@ -160,7 +160,7 @@ class TestSubspaceRuns:
                 return model
 
             monkeypatch.setattr(adaptation, "train_with_config", counted)
-            return run_subspace_method(cal, targets, method, config, CLF), iters
+            return run_subspace_method(cal, targets, method, proj_config, CLF), iters
 
         warm, warm_iters = run(cold=False)
         cold, cold_iters = run(cold=True)
