@@ -9,8 +9,10 @@ Strategies:
   none       train once on calibration, apply unchanged.
   means      center calibration and each target batch on their own means.
   drca       per-target deflated weighted-covariance transform, then train
-             on the projected calibration data.
-  ldsp       as drca, with source-label scatter terms in the objective.
+             on the projected calibration data; at full complement
+             (components = D - 1) one Householder basis, no eigenproblem.
+  ldsp       as drca, with source-label scatter terms in the objective
+             below full complement.
   selftrain  confidence-gated pseudo-labeling with retraining.
 """
 
@@ -25,7 +27,15 @@ import numpy as np
 from .classifier import ClassifierConfig, LogRegModel, predict, train_with_config
 from .data_io import Batch, Dataset
 from .preprocess import center_matrix
-from .subspace import DrcaConfig, LdspConfig, drca_fit, ldsp_fit, project
+from .subspace import (
+    DrcaConfig,
+    LdspConfig,
+    complement_fit,
+    deflation_threshold,
+    drca_fit,
+    ldsp_fit,
+    project,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -164,20 +174,31 @@ def run_subspace_method(
 
     For each target, source and target are mapped into the shared subspace,
     the classifier is trained on the projected calibration data, and the
-    projected target is predicted.  Every fit after the first starts from
-    the model before it, carried through feature space: weights
-    ``W_prev M_prevᵀ M_new`` (``M`` the projection matrix) and the same
-    biases, since ``project`` centres each domain on its own mean.  The
-    optimum does not depend on the start.
+    projected target is predicted.  At ``components`` = D - 1 a target whose
+    mean differs from the calibration mean (above ``deflation_threshold``)
+    takes :func:`complement_fit`: the transform keeps the whole complement of
+    the mean difference, so the eigenproblem would only pick a basis, and
+    both methods use the same Householder basis instead.  Every other target,
+    such as a reference row equal to the calibration batch, and every smaller
+    ``components`` take ``drca_fit`` or ``ldsp_fit``.  Every classifier fit
+    after the first starts from the model before it, carried through feature
+    space: weights ``W_prev M_prevᵀ M_new`` (``M`` the projection matrix) and
+    the same biases, since ``project`` centres each domain on its own mean.
+    The optimum does not depend on the start.
     """
     if method not in ("drca", "ldsp"):
         raise ValueError(f"method must be 'drca' or 'ldsp', got '{method}'")
     X = calibration.feature_matrix()
     y = calibration.label_vector()
+    d = X.shape[1]
+    full = config.components == d - 1
+    mu_s = X.mean(axis=0)
     out = []
     model = prev = None
     for t in targets:
-        if method == "drca":
+        if full and np.linalg.norm(mu_s - t.features.mean(axis=0)) > deflation_threshold(d):
+            proj = complement_fit(X, t.features, method)
+        elif method == "drca":
             proj = drca_fit(X, t.features, config)
         else:
             proj = ldsp_fit(X, y, t.features, config)

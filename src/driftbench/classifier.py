@@ -83,12 +83,6 @@ class LogRegModel:
         object.__setattr__(self, "class_ids", ids)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def objective(params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, reg_strength: float) -> float:
     """Regularized mean cross-entropy at the given (C, k+1) parameter matrix."""
     W, b = params[:, :-1], params[:, -1]
@@ -312,8 +306,12 @@ def train_with_config(
     )
 
 
-def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
-    """Per-class softmax probabilities; each row sums to 1."""
+def _class_major_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
+    """Softmax probabilities as a class-major (C, n) array; each column sums to 1.
+
+    As in the training kernel, the logits ``W @ X.T`` come from a transposed
+    view of ``X`` and the reductions run over the short class axis 0.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.trained_on_dim:
         raise ValueError(
@@ -321,12 +319,21 @@ def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
             f"model ({model.trained_on_dim})"
         )
     W, b = model.weights[:, :-1], model.weights[:, -1]
-    return _softmax(X @ W.T + b)
+    Zt = W @ X.T
+    Zt += b[:, None]
+    Zt -= Zt.max(axis=0)
+    E = np.exp(Zt, out=Zt)
+    E /= E.sum(axis=0)
+    return E
+
+
+def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
+    """Per-class softmax probabilities; each row sums to 1."""
+    return _class_major_proba(model, X).T
 
 
 def predict(model: LogRegModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most probable class per row and its probability; ties go to the lowest id."""
-    P = predict_proba(model, X)
-    idx = P.argmax(axis=1)
-    return model.class_ids[idx], P[np.arange(P.shape[0]), idx]
-
+    P = _class_major_proba(model, X)
+    idx = P.argmax(axis=0)
+    return model.class_ids[idx], P[idx, np.arange(P.shape[1])]

@@ -17,7 +17,7 @@ from driftbench.classifier import ClassifierConfig, predict, train_with_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
 from driftbench.metrics import accuracy
 from driftbench.preprocess import center_matrix, normalize_dataset
-from driftbench.subspace import DrcaConfig, LdspConfig
+from driftbench.subspace import DrcaConfig, LdspConfig, drca_fit, ldsp_fit
 
 CLF = ClassifierConfig(max_iter=500, tol=1e-7)
 
@@ -118,8 +118,8 @@ class TestSubspaceRuns:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_drca_equals_ldsp_at_full_rank_for_any_weights(self, small_synth, seed):
-        # At k = D - 1 both keep the whole deflated complement, in bases that
-        # differ by a rotation the L2-penalised classifier does not see.
+        # At k = D - 1 both keep the whole deflated complement, and both
+        # take the same basis of it, so the weights cannot move the grid.
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         k = small_synth.feature_dim - 1
         rng = np.random.default_rng(seed)
@@ -169,6 +169,52 @@ class TestSubspaceRuns:
             assert np.array_equal(w.predicted, c.predicted)
             np.testing.assert_allclose(w.confidence, c.confidence, rtol=0, atol=1e-5)
         assert sum(warm_iters) < sum(cold_iters)
+
+
+    @pytest.mark.parametrize("method", ["drca", "ldsp"])
+    @pytest.mark.parametrize("below_full", [0, 1], ids=["k=D-1", "k=D-2"])
+    def test_eigen_fits_only_where_the_complement_is_not_taken(
+        self, small_synth, monkeypatch, method, below_full
+    ):
+        # batch 1 as its own target has no mean difference, so it still needs
+        # the eigenproblem; drifted targets skip it only at k = D - 1
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        scored = [strip_labels(cal)] + targets
+        k = small_synth.feature_dim - 1 - below_full
+        proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
+        calls = {"drca": 0, "ldsp": 0}
+
+        def counted(name, fit):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fit(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(adaptation, "drca_fit", counted("drca", drca_fit))
+        monkeypatch.setattr(adaptation, "ldsp_fit", counted("ldsp", ldsp_fit))
+        run_subspace_method(cal, scored, method, proj_config, CLF)
+        other = "ldsp" if method == "drca" else "drca"
+        assert calls[other] == 0
+        assert calls[method] == (len(scored) if below_full else 1)
+
+    @pytest.mark.parametrize("method", ["drca", "ldsp"])
+    def test_complement_path_predicts_like_the_eigen_path(self, small_synth, monkeypatch, method):
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        k = small_synth.feature_dim - 1
+        proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
+        complement = run_subspace_method(cal, targets, method, proj_config, CLF)
+
+        def eigen(source, target, kind):
+            if kind == "drca":
+                return drca_fit(source, target, proj_config)
+            return ldsp_fit(source, cal.label_vector(), target, proj_config)
+
+        monkeypatch.setattr(adaptation, "complement_fit", eigen)
+        eigen_path = run_subspace_method(cal, targets, method, proj_config, CLF)
+        for a, b in zip(complement, eigen_path):
+            assert np.array_equal(a.predicted, b.predicted)
+            np.testing.assert_allclose(a.confidence, b.confidence, rtol=0, atol=1e-5)
 
 
 class TestSelfTraining:

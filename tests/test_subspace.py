@@ -4,6 +4,7 @@ import pytest
 from driftbench.subspace import (
     DrcaConfig,
     LdspConfig,
+    complement_fit,
     covariance,
     deflation_threshold,
     drca_fit,
@@ -258,6 +259,65 @@ class TestLdsp:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="classes"):
             ldsp_fit(np.zeros((4, 3)), [1] * 4, np.ones((4, 3)), LdspConfig(components=2))
+
+
+class TestComplementFit:
+    def drifted_pair(self, seed=51, d=7):
+        rng = np.random.default_rng(seed)
+        src = rng.normal(size=(40, d)) * rng.uniform(0.5, 3, size=d)
+        tgt = rng.normal(size=(30, d)) + rng.normal(size=d) * 2
+        return src, tgt
+
+    @pytest.mark.parametrize("kind", ["drca", "ldsp"])
+    def test_orthonormal_complement_of_mean_difference(self, kind):
+        src, tgt = self.drifted_pair()
+        proj = complement_fit(src, tgt, kind)
+        d = src.shape[1]
+        diff = src.mean(axis=0) - tgt.mean(axis=0)
+        assert proj.kind == kind
+        assert proj.matrix.shape == (d, d - 1)
+        assert np.linalg.norm(proj.matrix.T @ proj.matrix - np.eye(d - 1)) <= 1e-12
+        assert np.linalg.norm(proj.matrix.T @ diff) <= 1e-12 * np.linalg.norm(diff)
+        assert np.array_equal(proj.source_center, src.mean(axis=0))
+        assert np.array_equal(proj.target_center, tgt.mean(axis=0))
+        assert proj.eigenvalues.shape == (0,)
+
+    def test_spans_the_full_rank_eigen_subspaces(self):
+        src, tgt = self.drifted_pair(seed=52)
+        y = np.repeat([1, 2], 20)
+        k = src.shape[1] - 1
+        P = complement_fit(src, tgt, "drca").matrix
+        for fitted in (
+            drca_fit(src, tgt, DrcaConfig(components=k)),
+            ldsp_fit(src, y, tgt, LdspConfig(components=k)),
+        ):
+            W = fitted.matrix
+            assert np.linalg.norm(P @ P.T - W @ W.T) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "src, tgt, message",
+        [
+            (np.zeros((0, 3)), np.ones((4, 3)), "non-empty"),
+            (np.zeros((4, 3)), np.ones((0, 3)), "non-empty"),
+            (np.zeros(3), np.ones((4, 3)), "non-empty"),
+            (np.zeros((4, 3)), np.ones((4, 2)), "source dim 3 does not match target dim 2"),
+        ],
+    )
+    def test_rejects_what_drca_rejects_with_its_message(self, src, tgt, message):
+        with pytest.raises(ValueError, match=message):
+            drca_fit(src, tgt, DrcaConfig(components=1))
+        with pytest.raises(ValueError, match=message):
+            complement_fit(src, tgt, "drca")
+
+    def test_negligible_mean_difference_rejected(self):
+        src, _ = self.drifted_pair(seed=53)
+        with pytest.raises(ValueError, match="mean difference"):
+            complement_fit(src, src.copy(), "drca")
+
+    def test_unknown_kind_rejected(self):
+        src, tgt = self.drifted_pair(seed=54)
+        with pytest.raises(ValueError, match="kind"):
+            complement_fit(src, tgt, "pca")
 
 
 class TestProject:
