@@ -170,7 +170,6 @@ class TestSubspaceRuns:
             np.testing.assert_allclose(w.confidence, c.confidence, rtol=0, atol=1e-5)
         assert sum(warm_iters) < sum(cold_iters)
 
-
     @pytest.mark.parametrize("method", ["drca", "ldsp"])
     @pytest.mark.parametrize("below_full", [0, 1], ids=["k=D-1", "k=D-2"])
     def test_eigen_fits_only_where_the_complement_is_not_taken(
