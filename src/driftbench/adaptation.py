@@ -197,7 +197,7 @@ def run_subspace_method(
     model = prev = None
     for t in targets:
         if full and np.linalg.norm(mu_s - t.features.mean(axis=0)) > deflation_threshold(d):
-            proj = complement_fit(X, t.features, method)
+            proj = complement_fit(X, t.features)
         elif method == "drca":
             proj = drca_fit(X, t.features, config)
         else:

@@ -64,8 +64,6 @@ class LogRegModel:
 
     weights: np.ndarray
     class_ids: np.ndarray
-    reg_strength: float
-    trained_on_dim: int
     n_iter: int
     converged: bool
     loss_trace: tuple[float, ...] = ()
@@ -281,8 +279,6 @@ def train(
     return LogRegModel(
         weights=weights,
         class_ids=class_ids,
-        reg_strength=float(reg_strength),
-        trained_on_dim=k,
         n_iter=n_iter,
         converged=converged,
         loss_trace=tuple(trace),
@@ -313,11 +309,10 @@ def _class_major_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
     view of ``X`` and the reductions run over the short class axis 0.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.trained_on_dim:
-        raise ValueError(
-            f"input dim {X.shape[-1] if X.ndim else '?'} does not match "
-            f"model ({model.trained_on_dim})"
-        )
+    dim = model.weights.shape[1] - 1
+    if X.ndim != 2 or X.shape[1] != dim:
+        got = X.shape[-1] if X.ndim else "?"
+        raise ValueError(f"input dim {got} does not match model ({dim})")
     W, b = model.weights[:, :-1], model.weights[:, -1]
     Zt = W @ X.T
     Zt += b[:, None]

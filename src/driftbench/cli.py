@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_run_config
-from .data_io import DataFormatError, write_batch_file
+from .data_io import DataFormatError, atomic_write_text, write_batch_file
 from .harness import (
     PROJECTION_VIEWS,
     export_projections,
@@ -33,15 +33,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="load data and report batch counts")
-    p.add_argument("--report", choices=["counts"], default="counts")
+    sub.add_parser("ingest", parents=[common], help="load data and report batch counts")
 
     p = sub.add_parser("normalize", parents=[common], help="write batch-1 min-max scaled data")
     p.add_argument("--stats", action="store_true", help="print per-batch normalized extrema")
 
     p = sub.add_parser("project", parents=[common], help="export 2-D projection coordinates")
     p.add_argument("--method", choices=PROJECTION_VIEWS, required=True)
-    p.add_argument("--components", type=int, default=2)
 
     p = sub.add_parser("run", parents=[common], help="run the benchmark and write reports")
     p.add_argument("--method", help="'all' or a comma list of methods (overrides 'methods')")
@@ -106,7 +104,7 @@ def _cmd_project(args) -> int:
     dataset = load_input_dataset(cfg)
     if cfg.normalize:
         dataset = normalize_dataset(dataset)
-    path = export_projections(dataset, args.method, args.out, args.components)
+    path = export_projections(dataset, args.method, args.out)
     print(f"wrote {path}")
     return 0
 
@@ -140,7 +138,7 @@ def _cmd_report(args) -> int:
     if args.format == "csv":
         text = report_to_csv(report)
         if args.out:
-            Path(args.out).write_text(text)
+            atomic_write_text(args.out, text)
             print(f"wrote {args.out}")
         else:
             print(text, end="")

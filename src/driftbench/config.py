@@ -18,7 +18,6 @@ from pathlib import Path
 from .adaptation import METHOD_NAMES, SelfTrainConfig
 from .classifier import ClassifierConfig
 from .data_io import SyntheticConfig
-from .metrics import F1_AVERAGES
 from .subspace import DrcaConfig, LdspConfig
 
 
@@ -78,7 +77,6 @@ SCHEMA: dict = {
     "normalize.enabled": True,
     "methods": "all",
     **_section_defaults("drca", "ldsp", "selftrain", "classifier"),
-    "metrics.f1_average": "macro",
 }
 
 
@@ -110,7 +108,6 @@ class RunConfig:
     ldsp: LdspConfig
     selftrain: SelfTrainConfig
     classifier: ClassifierConfig
-    f1_average: str
     flat: dict = field(compare=False, default_factory=dict)
 
     def echo(self) -> dict:
@@ -134,11 +131,6 @@ def resolve_config(values: dict) -> RunConfig:
             resolved[key] = default
     methods = _resolve_methods(resolved["methods"])
     resolved["methods"] = ",".join(methods)
-    if resolved["metrics.f1_average"] not in F1_AVERAGES:
-        raise ConfigError(
-            f"metrics.f1_average must be one of {F1_AVERAGES}, "
-            f"got '{resolved['metrics.f1_average']}'"
-        )
     sections = {}
     for name, cls in SECTIONS.items():
         try:
@@ -150,7 +142,6 @@ def resolve_config(values: dict) -> RunConfig:
         synthetic_enabled=resolved["synthetic.enabled"],
         normalize=resolved["normalize.enabled"],
         methods=methods,
-        f1_average=resolved["metrics.f1_average"],
         flat=resolved,
         **sections,
     )

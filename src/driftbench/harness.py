@@ -68,9 +68,7 @@ class EvalReport:
 
 
 def evaluate_predictions(
-    predictions: Iterable[PredictionSet],
-    labels: LabelStore,
-    f1_average: str = "macro",
+    predictions: Iterable[PredictionSet], labels: LabelStore
 ) -> dict[tuple[str, int], Cell]:
     """Score prediction sets against ground truth; the only label consumer."""
     cells = {}
@@ -83,7 +81,7 @@ def evaluate_predictions(
             )
         cells[(ps.method, ps.batch_id)] = Cell(
             accuracy=accuracy(ps.predicted, actual),
-            macro_f1=f1_score(ps.predicted, actual, f1_average),
+            macro_f1=f1_score(ps.predicted, actual),
             n=int(actual.shape[0]),
         )
     return cells
@@ -156,7 +154,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     }
     grid = {}
     for name in cfg.methods:
-        grid.update(evaluate_predictions(strategies[name](), labels, cfg.f1_average))
+        grid.update(evaluate_predictions(strategies[name](), labels))
     report = EvalReport(
         grid=grid,
         config_echo=cfg.echo(),
@@ -239,7 +237,7 @@ def export_report(report: EvalReport, out_dir: Path | str) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-def projection_rows(dataset: Dataset, which: str, components: int = 2) -> list[tuple]:
+def projection_rows(dataset: Dataset, which: str) -> list[tuple]:
     """2-D projection of every sample: (batch_id, label, x, y, clipped).
 
     ``pca`` and ``lda`` fit on batch 1 and apply one map to all batches;
@@ -248,20 +246,18 @@ def projection_rows(dataset: Dataset, which: str, components: int = 2) -> list[t
     """
     if which not in PROJECTION_VIEWS:
         raise ValueError(f"unknown projection view '{which}' (choose from {PROJECTION_VIEWS})")
-    if components < 2:
-        raise ValueError("projection export needs at least 2 components")
     rows = []
     fixed = None
     if which == "pca":
-        fixed = pca_fit(dataset.batch(1).feature_matrix(), components)
+        fixed = pca_fit(dataset.batch(1).feature_matrix(), 2)
     elif which == "lda":
         b1 = dataset.batch(1)
-        fixed = lda_fit(b1.feature_matrix(), b1.label_vector(), components)
+        fixed = lda_fit(b1.feature_matrix(), b1.label_vector(), 2)
     for bid in dataset.batch_ids:
         batch = dataset.batch(bid)
         proj = fixed
         if proj is None:
-            proj = lda_fit(batch.feature_matrix(), batch.label_vector(), components)
+            proj = lda_fit(batch.feature_matrix(), batch.label_vector(), 2)
         XY = project(proj, batch.feature_matrix(), "source")
         for label, point in zip(batch.labels.tolist(), XY):
             x, y = float(point[0]), float(point[1])
@@ -270,11 +266,9 @@ def projection_rows(dataset: Dataset, which: str, components: int = 2) -> list[t
     return rows
 
 
-def export_projections(
-    dataset: Dataset, which: str, out_path: Path | str, components: int = 2
-) -> Path:
+def export_projections(dataset: Dataset, which: str, out_path: Path | str) -> Path:
     """Write the projection CSV (header batch_id,label,x,y,clipped)."""
-    rows = projection_rows(dataset, which, components)
+    rows = projection_rows(dataset, which)
     lines = ["batch_id,label,x,y,clipped"]
     lines += [f"{b},{lab},{x:.10g},{y:.10g},{c}" for b, lab, x, y, c in rows]
     out_path = Path(out_path)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROJECTION_KINDS = ("pca", "lda", "drca", "ldsp")
-
 
 @dataclass(frozen=True)
 class DrcaConfig:
@@ -76,12 +74,9 @@ class LinearProjection:
     matrix: np.ndarray
     source_center: np.ndarray
     target_center: np.ndarray
-    kind: str
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in PROJECTION_KINDS:
-            raise ValueError(f"unknown projection kind '{self.kind}'")
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError("projection matrix must be 2-D")
@@ -175,7 +170,7 @@ def pca_fit(samples: np.ndarray, k: int) -> LinearProjection:
     vals, vecs = _sorted_eig(C, k)
     W = _fix_column_signs(vecs)
     mean = X.mean(axis=0)
-    return LinearProjection(W, mean, mean, "pca", vals)
+    return LinearProjection(W, mean, mean, vals)
 
 
 def lda_fit(samples: np.ndarray, labels, k: int) -> LinearProjection:
@@ -211,7 +206,7 @@ def lda_fit(samples: np.ndarray, labels, k: int) -> LinearProjection:
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     W = _fix_column_signs(vecs)
     mean = X.mean(axis=0)
-    return LinearProjection(W, mean, mean, "lda", vals)
+    return LinearProjection(W, mean, mean, vals)
 
 
 def _check_domains(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +228,6 @@ def _deflated_fit(
     objective_extra: np.ndarray | None,
     target_weight: float,
     k: int,
-    kind: str,
 ) -> LinearProjection:
     """Shared DRCA/LDSP path: deflate the mean difference, eigendecompose."""
     Xs, Xt = _check_domains(source, target)
@@ -261,7 +255,7 @@ def _deflated_fit(
     else:
         vals, W = _sorted_eig(A, k)
     W = _fix_column_signs(W)
-    return LinearProjection(W, mu_s, mu_t, kind, vals)
+    return LinearProjection(W, mu_s, mu_t, vals)
 
 
 def drca_fit(source: np.ndarray, target: np.ndarray, config: DrcaConfig) -> LinearProjection:
@@ -273,7 +267,7 @@ def drca_fit(source: np.ndarray, target: np.ndarray, config: DrcaConfig) -> Line
     returned column is orthogonal to the mean difference, and projection
     centers each domain by its own mean.
     """
-    return _deflated_fit(source, target, None, config.target_weight, config.components, "drca")
+    return _deflated_fit(source, target, None, config.target_weight, config.components)
 
 
 def ldsp_fit(
@@ -293,10 +287,10 @@ def ldsp_fit(
         raise ValueError("LDSP needs at least 2 source classes")
     s_w, s_b = scatter_matrices(source, y)
     extra = -config.within_weight * s_w + config.between_weight * s_b
-    return _deflated_fit(source, target, extra, config.target_weight, config.components, "ldsp")
+    return _deflated_fit(source, target, extra, config.target_weight, config.components)
 
 
-def complement_fit(source: np.ndarray, target: np.ndarray, kind: str) -> LinearProjection:
+def complement_fit(source: np.ndarray, target: np.ndarray) -> LinearProjection:
     """DRCA or LDSP at full complement, k = D - 1, without an eigenproblem.
 
     With a non-negligible mean difference ``mu_s - mu_t``, a ``drca_fit`` or
@@ -308,15 +302,13 @@ def complement_fit(source: np.ndarray, target: np.ndarray, kind: str) -> LinearP
     mean difference (below ``deflation_threshold``) leaves no hyperplane to
     take and is rejected.
     """
-    if kind not in ("drca", "ldsp"):
-        raise ValueError(f"kind must be 'drca' or 'ldsp', got '{kind}'")
     Xs, Xt = _check_domains(source, target)
     mu_s = Xs.mean(axis=0)
     mu_t = Xt.mean(axis=0)
     diff = mu_s - mu_t
     if not np.linalg.norm(diff) > deflation_threshold(Xs.shape[1]):
         raise ValueError("complement_fit needs a non-negligible mean difference")
-    return LinearProjection(_complement_basis(diff), mu_s, mu_t, kind, np.empty(0))
+    return LinearProjection(_complement_basis(diff), mu_s, mu_t, np.empty(0))
 
 
 def project(p: LinearProjection, samples: np.ndarray, domain: str) -> np.ndarray:

@@ -1,10 +1,17 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftbench.config import resolve_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
+from driftbench.harness import run_experiment
+
+# The benchmark's stand-in data and workload configs live in perfbench/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from standin import make_standin, write_standin  # noqa: E402
 
 CANONICAL_ENV = "DRIFTBENCH_DATA_DIR"
 
@@ -19,6 +26,20 @@ def canonical_dir():
     if not (path / "batch1.dat").exists():
         pytest.skip(f"{path} does not contain batch1.dat; canonical-dataset check skipped")
     return path
+
+
+@pytest.fixture(scope="session")
+def standin_dir(tmp_path_factory):
+    """The benchmark's stand-in batch files (``perfbench/standin.py``, seed 1)."""
+    data_dir = tmp_path_factory.mktemp("standin")
+    write_standin(make_standin(1), data_dir)
+    return data_dir
+
+
+@pytest.fixture(scope="session")
+def standin_report(standin_dir):
+    """The default-config report on the stand-in, built once per session."""
+    return run_experiment(resolve_config({"data.dir": str(standin_dir)}))
 
 
 @pytest.fixture(scope="session")

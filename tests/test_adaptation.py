@@ -204,8 +204,8 @@ class TestSubspaceRuns:
         proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
         complement = run_subspace_method(cal, targets, method, proj_config, CLF)
 
-        def eigen(source, target, kind):
-            if kind == "drca":
+        def eigen(source, target):
+            if method == "drca":
                 return drca_fit(source, target, proj_config)
             return ldsp_fit(source, cal.label_vector(), target, proj_config)
 

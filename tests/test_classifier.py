@@ -181,8 +181,6 @@ class TestPredict:
         return LogRegModel(
             weights=weights,
             class_ids=np.asarray(class_ids),
-            reg_strength=0.1,
-            trained_on_dim=weights.shape[1] - 1,
             n_iter=0,
             converged=True,
         )

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import driftbench
+from driftbench import cli, harness
 from driftbench.cli import _format_grid, main
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
 from driftbench.harness import Cell
@@ -84,6 +86,31 @@ class TestProject:
         assert main(["project", "--method", "pca", "--config", str(config_file)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--report", "counts"],
+        ["project", "--method", "pca", "--components", "2", "--out", "p.csv"],
+    ],
+    ids=["ingest-report", "project-components"],
+)
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("driftbench ")]
+    assert {shlex.split(line)[1] for line in lines} == set(cli._COMMANDS)
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
 class TestRun:
     def test_writes_reports_and_prints_grid(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -117,6 +144,19 @@ class TestRun:
         code = main(["run", "--config", str(config_file), "--method", "bogus", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "unknown method 'bogus'" in capsys.readouterr().err
+
+    def test_removed_f1_average_key_fails_before_any_data_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SYNTH_CFG, "metrics.f1_average": "macro"}))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): metrics.f1_average\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -201,6 +241,37 @@ class TestReport:
         capsys.readouterr()
         code = main(["report", "--report-file", str(out_dir / "report.json"), "--format", "csv"])
         assert code == 0
+        assert capsys.readouterr().out == (out_dir / "report.csv").read_text()
+
+    def test_csv_out_is_written_atomically(self, config_file, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--method", "none", "--out", str(out_dir)])
+        written = []
+        write = cli.atomic_write_text
+
+        def recording(path, text):
+            written.append(str(path))
+            write(path, text)
+
+        monkeypatch.setattr(cli, "atomic_write_text", recording)
+        target = tmp_path / "copy.csv"
+        argv = ["report", "--report-file", str(out_dir / "report.json"), "--format", "csv"]
+        assert main([*argv, "--out", str(target)]) == 0
+        assert written == [str(target)]
+        assert target.read_text() == (out_dir / "report.csv").read_text()
+
+    def test_report_that_still_names_f1_average_renders(self, config_file, tmp_path, capsys):
+        # Reports written before metrics.f1_average was removed echo it in "config".
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--method", "none", "--out", str(out_dir)])
+        path = out_dir / "report.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["metrics.f1_average"] = "macro"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--report-file", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("accuracy ")
+        assert main(["report", "--report-file", str(path), "--format", "csv"]) == 0
         assert capsys.readouterr().out == (out_dir / "report.csv").read_text()
 
 

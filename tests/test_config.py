@@ -43,7 +43,6 @@ class TestResolve:
         assert cfg.selftrain.cumulative is True
         assert cfg.classifier.reg_strength == 1.0
         assert cfg.normalize is True
-        assert cfg.f1_average == "macro"
 
     def test_echo_covers_every_key(self):
         echo = resolve_config({}).echo()
@@ -66,10 +65,6 @@ class TestResolve:
     def test_methods_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown method 'magic'"):
             resolve_config({"methods": "magic"})
-
-    def test_invalid_f1_average(self):
-        with pytest.raises(ConfigError, match="f1_average"):
-            resolve_config({"metrics.f1_average": "micro"})
 
     def test_invalid_threshold_propagates_as_config_error(self):
         with pytest.raises(ConfigError, match="selftrain.threshold"):

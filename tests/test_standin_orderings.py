@@ -6,27 +6,15 @@ drift that separates the methods, so the orderings it shows with a clear
 margin are pinned here.  The stand-in is used as it is, never retuned.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
-
-from driftbench.config import resolve_config
-from driftbench.harness import run_experiment
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from standin import make_standin, write_standin  # noqa: E402
 
 LATE = (8, 9, 10)
 MARGIN = 0.05
 
 
 @pytest.fixture(scope="module")
-def accuracy(tmp_path_factory):
-    data_dir = tmp_path_factory.mktemp("standin")
-    write_standin(make_standin(1), data_dir)
-    grid = run_experiment(resolve_config({"data.dir": str(data_dir)})).grid
-    return {key: cell.accuracy for key, cell in grid.items()}
+def accuracy(standin_report):
+    return {key: cell.accuracy for key, cell in standin_report.grid.items()}
 
 
 def test_none_decays_from_batch2_to_late_batches(accuracy):

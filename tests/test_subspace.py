@@ -268,13 +268,11 @@ class TestComplementFit:
         tgt = rng.normal(size=(30, d)) + rng.normal(size=d) * 2
         return src, tgt
 
-    @pytest.mark.parametrize("kind", ["drca", "ldsp"])
-    def test_orthonormal_complement_of_mean_difference(self, kind):
+    def test_orthonormal_complement_of_mean_difference(self):
         src, tgt = self.drifted_pair()
-        proj = complement_fit(src, tgt, kind)
+        proj = complement_fit(src, tgt)
         d = src.shape[1]
         diff = src.mean(axis=0) - tgt.mean(axis=0)
-        assert proj.kind == kind
         assert proj.matrix.shape == (d, d - 1)
         assert np.linalg.norm(proj.matrix.T @ proj.matrix - np.eye(d - 1)) <= 1e-12
         assert np.linalg.norm(proj.matrix.T @ diff) <= 1e-12 * np.linalg.norm(diff)
@@ -286,7 +284,7 @@ class TestComplementFit:
         src, tgt = self.drifted_pair(seed=52)
         y = np.repeat([1, 2], 20)
         k = src.shape[1] - 1
-        P = complement_fit(src, tgt, "drca").matrix
+        P = complement_fit(src, tgt).matrix
         for fitted in (
             drca_fit(src, tgt, DrcaConfig(components=k)),
             ldsp_fit(src, y, tgt, LdspConfig(components=k)),
@@ -307,17 +305,12 @@ class TestComplementFit:
         with pytest.raises(ValueError, match=message):
             drca_fit(src, tgt, DrcaConfig(components=1))
         with pytest.raises(ValueError, match=message):
-            complement_fit(src, tgt, "drca")
+            complement_fit(src, tgt)
 
     def test_negligible_mean_difference_rejected(self):
         src, _ = self.drifted_pair(seed=53)
         with pytest.raises(ValueError, match="mean difference"):
-            complement_fit(src, src.copy(), "drca")
-
-    def test_unknown_kind_rejected(self):
-        src, tgt = self.drifted_pair(seed=54)
-        with pytest.raises(ValueError, match="kind"):
-            complement_fit(src, tgt, "pca")
+            complement_fit(src, src.copy())
 
 
 class TestProject:
@@ -332,7 +325,7 @@ class TestProject:
     def test_identity_projection(self):
         from driftbench.subspace import LinearProjection
 
-        p = LinearProjection(np.eye(3), np.zeros(3), np.zeros(3), "pca", np.ones(3))
+        p = LinearProjection(np.eye(3), np.zeros(3), np.zeros(3), np.ones(3))
         X = np.random.default_rng(42).normal(size=(5, 3))
         assert np.array_equal(project(p, X, "source"), X)
 
