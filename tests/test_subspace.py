@@ -268,16 +268,26 @@ class TestComplementFit:
         tgt = rng.normal(size=(30, d)) + rng.normal(size=d) * 2
         return src, tgt
 
-    def test_orthonormal_complement_of_mean_difference(self):
+    @pytest.mark.parametrize("method", ["drca", "ldsp"])
+    def test_orthonormal_complement_of_mean_difference(self, method):
+        # The complement stands in for either method's full-rank fit: same
+        # shape and centres, and both are orthogonal to the mean difference.
         src, tgt = self.drifted_pair()
         proj = complement_fit(src, tgt)
         d = src.shape[1]
+        if method == "drca":
+            fitted = drca_fit(src, tgt, DrcaConfig(components=d - 1))
+        else:
+            fitted = ldsp_fit(src, np.repeat([1, 2], 20), tgt, LdspConfig(components=d - 1))
         diff = src.mean(axis=0) - tgt.mean(axis=0)
-        assert proj.matrix.shape == (d, d - 1)
+        assert proj.matrix.shape == fitted.matrix.shape == (d, d - 1)
         assert np.linalg.norm(proj.matrix.T @ proj.matrix - np.eye(d - 1)) <= 1e-12
         assert np.linalg.norm(proj.matrix.T @ diff) <= 1e-12 * np.linalg.norm(diff)
+        assert np.linalg.norm(fitted.matrix.T @ diff) <= 1e-10 * np.linalg.norm(diff)
         assert np.array_equal(proj.source_center, src.mean(axis=0))
         assert np.array_equal(proj.target_center, tgt.mean(axis=0))
+        assert np.array_equal(proj.source_center, fitted.source_center)
+        assert np.array_equal(proj.target_center, fitted.target_center)
         assert proj.eigenvalues.shape == (0,)
 
     def test_spans_the_full_rank_eigen_subspaces(self):
