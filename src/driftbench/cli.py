@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,15 +18,14 @@ from .harness import (
     report_to_csv,
     run_experiment,
 )
-from .preprocess import fit_minmax, normalize_dataset
+from .preprocess import normalize_dataset
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file of flat key-value settings")
-    common.add_argument("--data-dir", help="directory holding batch1.dat .. batchN.dat")
-    common.add_argument("--out", help="output file or directory (verb-dependent)")
-    common.add_argument("--seed", type=int, help="override the synthetic-data seed")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--config", help="JSON config file of flat key-value settings")
+    data.add_argument("--data-dir", help="directory holding batch1.dat .. batchN.dat")
+    data.add_argument("--seed", type=int, help="override the synthetic-data seed")
 
     parser = argparse.ArgumentParser(
         prog="driftbench",
@@ -33,20 +33,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ingest", parents=[common], help="load data and report batch counts")
+    sub.add_parser("ingest", parents=[data], help="load data and report batch counts")
 
-    p = sub.add_parser("normalize", parents=[common], help="write batch-1 min-max scaled data")
+    p = sub.add_parser("normalize", parents=[data], help="write batch-1 min-max scaled data")
+    p.add_argument("--out", help="directory to write the scaled batch files into")
     p.add_argument("--stats", action="store_true", help="print per-batch normalized extrema")
 
-    p = sub.add_parser("project", parents=[common], help="export 2-D projection coordinates")
+    p = sub.add_parser("project", parents=[data], help="export 2-D projection coordinates")
     p.add_argument("--method", choices=PROJECTION_VIEWS, required=True)
+    p.add_argument("--out", required=True, help="CSV file to write the coordinates to")
 
-    p = sub.add_parser("run", parents=[common], help="run the benchmark and write reports")
+    p = sub.add_parser("run", parents=[data], help="run the benchmark and write reports")
     p.add_argument("--method", help="'all' or a comma list of methods (overrides 'methods')")
+    p.add_argument(
+        "--out", default="driftbench-out", help="directory for report.csv and report.json"
+    )
 
-    p = sub.add_parser("report", parents=[common], help="render a saved JSON report")
+    p = sub.add_parser("report", help="render a saved JSON report")
     p.add_argument("--report-file", required=True, help="path to a report.json")
     p.add_argument("--format", choices=["table", "csv"], default="table")
+    p.add_argument("--out", help="file to write the rendered report to instead of stdout")
     return parser
 
 
@@ -62,7 +68,10 @@ def _overrides(args) -> dict:
 
 
 def _config(args):
-    return load_run_config(args.config, _overrides(args))
+    cfg = load_run_config(args.config, _overrides(args))
+    if args.seed is not None and not cfg.synthetic_enabled:
+        raise ConfigError("--seed applies only to synthetic data (synthetic.enabled is false)")
+    return cfg
 
 
 def _cmd_ingest(args) -> int:
@@ -80,8 +89,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_normalize(args) -> int:
     cfg = _config(args)
     dataset = load_input_dataset(cfg)
-    params = fit_minmax(dataset.batch(1))
-    normalized = normalize_dataset(dataset, params)
+    normalized = normalize_dataset(dataset)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,9 +105,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    if not args.out:
-        print("error: project requires --out <csv>", file=sys.stderr)
-        return 2
     cfg = _config(args)
     dataset = load_input_dataset(cfg)
     if cfg.normalize:
@@ -125,7 +130,7 @@ def _format_grid(grid) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _config(args)
-    out_dir = Path(args.out) if args.out else Path("driftbench-out")
+    out_dir = Path(args.out)
     report = run_experiment(cfg, out_dir=out_dir)
     csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
     print(_format_grid(report.grid))
@@ -135,15 +140,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     report = report_from_json_dict(json.loads(Path(args.report_file).read_text()))
-    if args.format == "csv":
-        text = report_to_csv(report)
-        if args.out:
-            atomic_write_text(args.out, text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
+    text = report_to_csv(report) if args.format == "csv" else _format_grid(report.grid) + "\n"
+    if args.out:
+        atomic_write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
-        print(_format_grid(report.grid))
+        print(text, end="")
     return 0
 
 
@@ -159,7 +161,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``); that is not a failure.
+        # Point stdout at devnull so the interpreter's final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

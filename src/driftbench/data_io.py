@@ -13,6 +13,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import struct
 import tempfile
 import warnings
@@ -26,7 +27,6 @@ logger = logging.getLogger(__name__)
 
 N_FEATURES = 128
 GAS_LABELS = frozenset({1, 2, 3, 4, 5, 6})
-MAX_BATCHES = 10
 
 # Months covered by each batch of the public gas-sensor drift dataset.
 BATCH_MONTH_IDS = {
@@ -348,27 +348,39 @@ def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]
     return batch, stats
 
 
-def load_dataset(directory: Path | str) -> Dataset:
-    """Load ``batch1.dat .. batchN.dat`` from a directory.
+_BATCH_FILE = re.compile(r"batch([1-9][0-9]*)\.dat")
 
-    Missing trailing batches are tolerated; a gap in the sequence or a
-    missing ``batch1.dat`` (the calibration data) is fatal.
+
+def load_dataset(directory: Path | str) -> Dataset:
+    """Load ``batch1.dat .. batchN.dat`` from a directory, for any N.
+
+    Every regular file named ``batch<N>.dat`` (N >= 1, no leading zero) is a
+    batch; a gap in the sequence or a missing ``batch1.dat`` (the
+    calibration data) is fatal.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise DataFormatError(f"data directory not found: {directory}")
-    present = {n for n in range(1, MAX_BATCHES + 1) if (directory / f"batch{n}.dat").exists()}
+    present = {
+        int(m[1])
+        for path in directory.iterdir()
+        if (m := _BATCH_FILE.fullmatch(path.name)) and path.is_file()
+    }
     if 1 not in present:
         raise DataFormatError(f"{directory}: batch1.dat (calibration batch) is required")
-    last = max(present)
-    missing = [n for n in range(1, last + 1) if n not in present]
-    if missing:
+    ids = sorted(present)
+    # Name each gap as a range: one stray batch20240101.dat must not list millions.
+    gaps = [(a + 1, b - 1) for a, b in zip(ids, ids[1:]) if b > a + 1]
+    if gaps:
         raise DataFormatError(
             f"{directory}: gap in batch sequence, missing "
-            + ", ".join(f"batch{n}.dat" for n in missing)
+            + ", ".join(
+                f"batch{lo}.dat" if lo == hi else f"batch{lo}.dat .. batch{hi}.dat"
+                for lo, hi in gaps
+            )
         )
     batches = {}
-    for n in range(1, last + 1):
+    for n in ids:
         batch, _ = load_batch_file(directory / f"batch{n}.dat", n)
         batches[n] = batch
     return Dataset(batches)

@@ -1,10 +1,8 @@
-"""Classification metrics: accuracy and multiclass-averaged F1."""
+"""Classification metrics: accuracy and macro-F1."""
 
 from __future__ import annotations
 
 import numpy as np
-
-F1_AVERAGES = ("macro", "weighted")
 
 
 def _check_pair(predicted, actual) -> tuple[np.ndarray, np.ndarray]:
@@ -23,19 +21,13 @@ def accuracy(predicted, actual) -> float:
     return float(np.count_nonzero(p == a)) / p.shape[0]
 
 
-def f1_score(predicted, actual, average: str = "macro") -> float:
-    """Averaged per-class F1 over classes occurring in either vector.
-
-    Per-class precision/recall with a zero denominator count as 0.  "macro"
-    weighs classes equally; "weighted" weighs by true-class support (classes
-    absent from ``actual`` get weight 0).
-    """
-    if average not in F1_AVERAGES:
-        raise ValueError(f"average must be one of {F1_AVERAGES}, got '{average}'")
+def f1_score(predicted, actual) -> float:
+    """Macro-F1: the unweighted mean of per-class F1 over classes occurring in
+    either vector; a per-class precision or recall with a zero denominator
+    counts as 0."""
     p, a = _check_pair(predicted, actual)
     classes = np.unique(np.concatenate([a, p]))
     f1 = np.zeros(classes.shape[0])
-    support = np.zeros(classes.shape[0])
     for i, c in enumerate(classes):
         tp = np.count_nonzero((p == c) & (a == c))
         fp = np.count_nonzero((p == c) & (a != c))
@@ -43,12 +35,7 @@ def f1_score(predicted, actual, average: str = "macro") -> float:
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1[i] = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        support[i] = tp + fn
-    if average == "macro":
-        return float(f1.mean())
-    return float((f1 * support).sum() / support.sum())
+    return float(f1.mean())
 
 
-def macro_f1(predicted, actual) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    return f1_score(predicted, actual, "macro")
+macro_f1 = f1_score

@@ -20,7 +20,6 @@ class NormalizationParams:
 
     min: np.ndarray
     max: np.ndarray
-    source_batch_id: int
 
     def __post_init__(self):
         lo = np.asarray(self.min, dtype=float)
@@ -40,7 +39,7 @@ def fit_minmax(calibration: Batch) -> NormalizationParams:
     if len(calibration) == 0:
         raise ValueError("cannot fit normalization on an empty batch")
     X = calibration.feature_matrix()
-    return NormalizationParams(X.min(axis=0), X.max(axis=0), calibration.batch_id)
+    return NormalizationParams(X.min(axis=0), X.max(axis=0))
 
 
 def apply_minmax_matrix(params: NormalizationParams, X: np.ndarray) -> np.ndarray:
@@ -61,10 +60,9 @@ def normalize_batch(params: NormalizationParams, batch: Batch) -> Batch:
     return replace(batch, features=apply_minmax_matrix(params, batch.features))
 
 
-def normalize_dataset(dataset: Dataset, params: NormalizationParams | None = None) -> Dataset:
-    """Rescale every batch with batch-1 extrema (fit here unless provided)."""
-    if params is None:
-        params = fit_minmax(dataset.batch(1))
+def normalize_dataset(dataset: Dataset) -> Dataset:
+    """Rescale every batch with the extrema of batch 1."""
+    params = fit_minmax(dataset.batch(1))
     return Dataset({bid: normalize_batch(params, b) for bid, b in dataset.batches.items()})
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -83,7 +84,10 @@ class TestProject:
         assert len(lines) == 1 + 3 * 15 * 3
 
     def test_requires_out(self, config_file, capsys):
-        assert main(["project", "--method", "pca", "--config", str(config_file)]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["project", "--method", "pca", "--config", str(config_file)])
+        assert info.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -91,8 +95,19 @@ class TestProject:
     [
         ["ingest", "--report", "counts"],
         ["project", "--method", "pca", "--components", "2", "--out", "p.csv"],
+        ["ingest", "--out", "x.txt"],
+        ["report", "--report-file", "r.json", "--config", "c.json"],
+        ["report", "--report-file", "r.json", "--data-dir", "d"],
+        ["report", "--report-file", "r.json", "--seed", "3"],
     ],
-    ids=["ingest-report", "project-components"],
+    ids=[
+        "ingest-report",
+        "project-components",
+        "ingest-out",
+        "report-config",
+        "report-data-dir",
+        "report-seed",
+    ],
 )
 def test_removed_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -109,6 +124,22 @@ def test_readme_cli_block_parses():
     assert {shlex.split(line)[1] for line in lines} == set(cli._COMMANDS)
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if line.startswith("| `") and len(cells) == 4:
+            table[cells[1].strip().strip("`")] = re.findall(r"`(--[a-z-]+)`", cells[2])
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {
+        verb: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for verb, p in sub.choices.items()
+    }
+    assert table == parsers
 
 
 class TestRun:
@@ -163,6 +194,20 @@ class TestRun:
         bad.write_text(json.dumps({"classifier.regstrength": 2.0}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_seed_without_synthetic_data_fails_before_any_data_is_read(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read")
+
+        monkeypatch.setattr(harness, "load_dataset", no_data)
+        out_dir = tmp_path / "o"
+        argv = ["run", "--data-dir", str(data_dir), "--seed", "9", "--out", str(out_dir)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --seed ")
+        assert not out_dir.exists()
 
     def test_seed_override_changes_data(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -259,6 +304,43 @@ class TestReport:
         assert main([*argv, "--out", str(target)]) == 0
         assert written == [str(target)]
         assert target.read_text() == (out_dir / "report.csv").read_text()
+
+    def test_table_out_is_written_atomically(self, config_file, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--method", "none", "--out", str(out_dir)])
+        argv = ["report", "--report-file", str(out_dir / "report.json")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        written = []
+        write = cli.atomic_write_text
+
+        def recording(path, text):
+            written.append(str(path))
+            write(path, text)
+
+        monkeypatch.setattr(cli, "atomic_write_text", recording)
+        target = tmp_path / "t.txt"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert written == [str(target)]
+        assert target.read_text() == table
+        assert capsys.readouterr().out == f"wrote {target}\n"
+
+    def test_closed_stdout_pipe_is_not_an_error(self, config_file, tmp_path):
+        # The child's import takes far longer than closing the pipe, so its
+        # first write always meets a reader that has gone (as under `| head`).
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--method", "none", "--out", str(out_dir)])
+        src = str(Path(driftbench.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = ["-m", "driftbench.cli", "report", "--report-file", str(out_dir / "report.json")]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen([sys.executable, *argv], env=env, **pipes) as child:
+            child.stdout.close()
+            err = child.stderr.read()
+        assert child.returncode == 0
+        assert err == b""
 
     def test_report_that_still_names_f1_average_renders(self, config_file, tmp_path, capsys):
         # Reports written before metrics.f1_average was removed echo it in "config".

@@ -128,6 +128,29 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="batch2.dat"):
             load_dataset(tmp_path)
 
+    def test_long_gap_is_named_as_one_range(self, tmp_path):
+        self.write(tmp_path / "batch1.dat", [dense_line(1, range(128))])
+        self.write(tmp_path / "batch20240101.dat", [dense_line(1, range(128))])
+        with pytest.raises(DataFormatError, match=r"missing batch2\.dat \.\. batch20240100\.dat$"):
+            load_dataset(tmp_path)
+
+    def test_only_regular_batch_files_count(self, tmp_path):
+        self.write(tmp_path / "batch1.dat", [dense_line(1, range(128))])
+        for name in ("batch02.dat", "batch0.dat", "batch3.dat.bak", "Batch4.dat"):
+            self.write(tmp_path / name, ["not a sample line"])
+        (tmp_path / "batch2.dat").mkdir()
+        assert load_dataset(tmp_path).batch_ids == [1]
+
+    def test_twelve_batches_round_trip(self, tmp_path):
+        ds = generate_synthetic(SyntheticConfig(n_classes=2, dim=128, per_class=2, n_batches=12))
+        for bid in ds.batch_ids:
+            write_batch_file(tmp_path / f"batch{bid}.dat", ds.batch(bid))
+        back = load_dataset(tmp_path)
+        assert back.batch_ids == list(range(1, 13))
+        for bid in ds.batch_ids:
+            assert np.array_equal(back.batch(bid).features, ds.batch(bid).features)
+            assert np.array_equal(back.batch(bid).labels, ds.batch(bid).labels)
+
     def test_line_errors_aggregated_with_file_name(self, tmp_path):
         self.write(
             tmp_path / "batch1.dat",

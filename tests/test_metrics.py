@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftbench.metrics import accuracy, f1_score, macro_f1
+from driftbench.metrics import accuracy, macro_f1
 
 from oracles import confusion_accuracy, confusion_macro_f1
 
@@ -44,16 +44,6 @@ class TestMacroF1:
         # class 3 never occurs in actual but is predicted: F1 contribution 0
         val = macro_f1([3, 1], [1, 1])
         assert val == pytest.approx((2 / 3) / 2, abs=1e-15)
-
-    def test_weighted_average_uses_true_support(self):
-        p = [1, 1, 1, 2]
-        a = [1, 1, 2, 2]
-        # class 1: F1 = 2*(2/3*1)/(2/3+1) = 0.8, support 2; class 2: F1 = 2*(1*0.5)/1.5 = 2/3, support 2
-        assert f1_score(p, a, "weighted") == pytest.approx(0.5 * 0.8 + 0.5 * (2 / 3), abs=1e-12)
-
-    def test_invalid_average_rejected(self):
-        with pytest.raises(ValueError, match="average"):
-            f1_score([1], [1], "micro")
 
 
 class TestOracleEquivalence:

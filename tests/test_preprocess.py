@@ -22,7 +22,6 @@ class TestMinMax:
         params = fit_minmax(make_batch([[2.0, -1.0], [6.0, 3.0]]))
         assert np.array_equal(params.min, [2.0, -1.0])
         assert np.array_equal(params.max, [6.0, 3.0])
-        assert params.source_batch_id == 1
 
     def test_fit_constant_feature(self):
         params = fit_minmax(make_batch([[5.0, 1.0], [5.0, 2.0]]))
@@ -68,7 +67,7 @@ class TestMinMax:
 
     def test_params_validate_ordering(self):
         with pytest.raises(ValueError, match="min"):
-            NormalizationParams(np.array([1.0]), np.array([0.0]), 1)
+            NormalizationParams(np.array([1.0]), np.array([0.0]))
 
     def test_normalize_dataset_keeps_structure(self, small_synth):
         out = normalize_dataset(small_synth)
