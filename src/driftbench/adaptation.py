@@ -9,11 +9,13 @@ Strategies:
   none       train once on calibration, apply unchanged.
   means      center calibration and each target batch on their own means.
   drca       per-target deflated weighted-covariance transform, then train
-             on the projected calibration data; at full complement
-             (components = D - 1) one Householder basis, no eigenproblem.
-  ldsp       as drca, with source-label scatter terms in the objective
-             below full complement.
+             on the projected calibration data.
+  ldsp       as drca, with source-label scatter terms in the objective.
   selftrain  confidence-gated pseudo-labeling with retraining.
+
+At full complement (components = D - 1) drca and ldsp coincide on every
+drifted target: one Householder basis and no eigenproblem, in one chain of
+fits (``run_complement``) that both share, seeded from the calibration model.
 """
 
 from __future__ import annotations
@@ -126,7 +128,10 @@ def split_calibration(dataset: Dataset) -> tuple[Batch, list[TargetBatch], Label
 
 
 def train_calibration_model(calibration: Batch, clf_config: ClassifierConfig) -> LogRegModel:
-    """The zero-start model on the calibration batch that `none` and `selftrain` share."""
+    """The zero-start model on the calibration batch.
+
+    `none` and `selftrain` share it, and it seeds :func:`run_complement`'s chain.
+    """
     return train_with_config(calibration.feature_matrix(), calibration.label_vector(), clf_config)
 
 
@@ -163,12 +168,55 @@ def run_means_correction(
     return out
 
 
+def run_complement(
+    calibration: Batch,
+    targets: Sequence[TargetBatch],
+    clf_config: ClassifierConfig,
+    calibration_model: LogRegModel | None = None,
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The full-complement chain that DRCA and LDSP share at ``components`` = D - 1.
+
+    Covers every target whose mean differs from the calibration mean by more
+    than ``deflation_threshold``: one :func:`complement_fit`, one projection
+    of each domain and one classifier fit per target, whatever the method or
+    its weights.  Returns ``{batch_id: (predicted, confidence)}``.  The first
+    fit starts from the calibration model (trained here if not given)
+    carried through that target's basis ``Q``: weights ``[W0 Q, b0 + W0
+    mu_s]``, since ``project`` centres the source on ``mu_s``.  Every later
+    fit starts from the model before it: weights ``W_prev Q_prevᵀ Q_new``
+    and the same biases.  The optimum does not depend on the start.
+    """
+    X = calibration.feature_matrix()
+    y = calibration.label_vector()
+    mu_s = X.mean(axis=0)
+    out = {}
+    model = prev = None
+    for t in targets:
+        if np.linalg.norm(mu_s - t.features.mean(axis=0)) <= deflation_threshold(X.shape[1]):
+            continue
+        proj = complement_fit(X, t.features)
+        # (W, b): the start in feature space, before the basis is applied
+        if model is None:
+            if calibration_model is None:
+                calibration_model = train_calibration_model(calibration, clf_config)
+            W, b = calibration_model.weights[:, :-1], calibration_model.weights[:, -1:]
+            b = b + (W @ mu_s)[:, None]
+        else:
+            W, b = model.weights[:, :-1] @ prev.matrix.T, model.weights[:, -1:]
+        init = np.hstack([W @ proj.matrix, b])
+        model = train_with_config(project(proj, X, "source"), y, clf_config, init_weights=init)
+        prev = proj
+        out[t.batch_id] = predict(model, project(proj, t.features, "target"))
+    return out
+
+
 def run_subspace_method(
     calibration: Batch,
     targets: Sequence[TargetBatch],
     method: str,
     config: DrcaConfig | LdspConfig,
     clf_config: ClassifierConfig,
+    complement: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[PredictionSet]:
     """Fit one transform and one classifier per target batch.
 
@@ -176,29 +224,32 @@ def run_subspace_method(
     the classifier is trained on the projected calibration data, and the
     projected target is predicted.  At ``components`` = D - 1 a target whose
     mean differs from the calibration mean (above ``deflation_threshold``)
-    takes :func:`complement_fit`: the transform keeps the whole complement of
-    the mean difference, so the eigenproblem would only pick a basis, and
-    both methods use the same Householder basis instead.  Every other target,
-    such as a reference row equal to the calibration batch, and every smaller
-    ``components`` take ``drca_fit`` or ``ldsp_fit``.  Every classifier fit
-    after the first starts from the model before it, carried through feature
-    space: weights ``W_prev M_prevᵀ M_new`` (``M`` the projection matrix) and
-    the same biases, since ``project`` centres each domain on its own mean.
-    The optimum does not depend on the start.
+    keeps the whole complement of the mean difference, so the method and its
+    weights cannot move it: its predictions come from :func:`run_complement`'s
+    chain, which DRCA and LDSP share.  A caller that runs both passes that
+    chain as ``complement``; without it this call builds its own.  Every
+    other target, such as a reference row equal to the calibration batch,
+    and every smaller ``components`` take ``drca_fit`` or ``ldsp_fit``; each
+    such fit after the first starts from the one before it, carried through
+    feature space: weights ``W_prev M_prevᵀ M_new`` (``M`` the projection
+    matrix) and the same biases, since ``project`` centres each domain on
+    its own mean.  The optimum does not depend on the start.
     """
     if method not in ("drca", "ldsp"):
         raise ValueError(f"method must be 'drca' or 'ldsp', got '{method}'")
     X = calibration.feature_matrix()
     y = calibration.label_vector()
-    d = X.shape[1]
-    full = config.components == d - 1
-    mu_s = X.mean(axis=0)
+    if config.components != X.shape[1] - 1:
+        complement = {}
+    elif complement is None:
+        complement = run_complement(calibration, targets, clf_config)
     out = []
     model = prev = None
     for t in targets:
-        if full and np.linalg.norm(mu_s - t.features.mean(axis=0)) > deflation_threshold(d):
-            proj = complement_fit(X, t.features)
-        elif method == "drca":
+        if t.batch_id in complement:
+            out.append(PredictionSet(method, t.batch_id, *complement[t.batch_id]))
+            continue
+        if method == "drca":
             proj = drca_fit(X, t.features, config)
         else:
             proj = ldsp_fit(X, y, t.features, config)

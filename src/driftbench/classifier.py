@@ -22,8 +22,9 @@ feature matrix.  Every evaluation computes class-major (C, n) logits from
 a transposed view of ``X``, so the softmax reductions run along rows of
 samples, not along rows only C wide.  Callers that fit a sequence of
 related problems pass the previous model as ``init_weights``:
-self-training passes the model before it, and DRCA/LDSP pass the previous
-target's model carried through feature space (see ``adaptation``).
+self-training passes the model before it, and DRCA/LDSP pass the
+calibration model or the previous target's model, carried through feature
+space (see ``adaptation``).
 """
 
 from __future__ import annotations

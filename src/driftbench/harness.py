@@ -20,6 +20,7 @@ from . import __version__
 from .adaptation import (
     LabelStore,
     PredictionSet,
+    run_complement,
     run_means_correction,
     run_no_adaptation,
     run_self_training,
@@ -130,21 +131,31 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     calibration, targets, labels = split_calibration(dataset)
     reference = strip_labels(dataset.batch(REFERENCE_BATCH_ID))
 
+    clf, st = cfg.classifier, cfg.selftrain
     # `none` and `selftrain` both start from the plain calibration fit; it is
-    # deterministic, so one fit serves both.
+    # deterministic, so one fit serves both, and it seeds the full-complement
+    # chain that `drca` and `ldsp` share (run_complement trains it when the
+    # chain needs it and neither of the others runs).
     shared = None
     if {"none", "selftrain"} & set(cfg.methods):
-        shared = train_calibration_model(calibration, cfg.classifier)
+        shared = train_calibration_model(calibration, clf)
+    complement = None
+    if any(m in cfg.methods and getattr(cfg, m).components == dataset.feature_dim - 1
+           for m in ("drca", "ldsp")):
+        complement = run_complement(calibration, targets, clf, shared)
     scored = [reference] + targets
-    clf, st = cfg.classifier, cfg.selftrain
     # The lambdas look each strategy up by its module-global name when they
     # run, so a tracer that swaps module attributes (perfbench/traced.py)
     # sees every call.
     strategies = {
         "none": lambda: run_no_adaptation(calibration, scored, clf, shared),
         "means": lambda: run_means_correction(calibration, scored, clf),
-        "drca": lambda: run_subspace_method(calibration, scored, "drca", cfg.drca, clf),
-        "ldsp": lambda: run_subspace_method(calibration, scored, "ldsp", cfg.ldsp, clf),
+        "drca": lambda: run_subspace_method(
+            calibration, scored, "drca", cfg.drca, clf, complement
+        ),
+        "ldsp": lambda: run_subspace_method(
+            calibration, scored, "ldsp", cfg.ldsp, clf, complement
+        ),
         # A separate call for batch 1, so its pseudo-labels never enter the
         # pool that batches 2..N grow.
         "selftrain": lambda: (

@@ -6,6 +6,7 @@ import pytest
 import driftbench.adaptation as adaptation
 from driftbench.adaptation import (
     SelfTrainConfig,
+    run_complement,
     run_means_correction,
     run_no_adaptation,
     run_self_training,
@@ -15,9 +16,11 @@ from driftbench.adaptation import (
 )
 from driftbench.classifier import ClassifierConfig, predict, train_with_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
+from driftbench.harness import run_experiment
 from driftbench.metrics import accuracy
 from driftbench.preprocess import center_matrix, normalize_dataset
 from driftbench.subspace import DrcaConfig, LdspConfig, drca_fit, ldsp_fit
+from test_harness import synth_config
 
 CLF = ClassifierConfig(max_iter=500, tol=1e-7)
 
@@ -117,20 +120,42 @@ class TestSubspaceRuns:
             assert np.array_equal(a.predicted, b.predicted)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_drca_equals_ldsp_at_full_rank_for_any_weights(self, small_synth, seed):
-        # At k = D - 1 both keep the whole deflated complement, and both
-        # take the same basis of it, so the weights cannot move the grid.
-        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
-        k = small_synth.feature_dim - 1
+    def test_drca_equals_ldsp_at_full_rank_for_any_weights(self, seed):
+        # At k = D - 1 every drifted target keeps the whole deflated
+        # complement, and both methods take one shared chain of fits, so
+        # neither the weights nor the method's own batch-1 reference row can
+        # move b2..bN.  The loose tol lets a fit's start show in the grid.
         rng = np.random.default_rng(seed)
         w_target, w_within, w_between = rng.uniform(0.0, [5.0, 50.0, 500.0])
-        drca = run_subspace_method(cal, targets, "drca", DrcaConfig(w_target, k), CLF)
-        ldsp = run_subspace_method(
-            cal, targets, "ldsp", LdspConfig(w_target, w_within, w_between, k), CLF
-        )
-        for a, b in zip(drca, ldsp):
-            assert np.array_equal(a.predicted, b.predicted)
-            np.testing.assert_allclose(a.confidence, b.confidence, rtol=0, atol=1e-12)
+        keys = {
+            "classifier.tol": 1e-4,
+            "drca.target_weight": w_target,
+            "ldsp.target_weight": w_target,
+            "ldsp.within_weight": w_within,
+            "ldsp.between_weight": w_between,
+        }
+        both = run_experiment(synth_config(**keys, methods="drca,ldsp")).grid
+        alone = run_experiment(synth_config(**keys, methods="ldsp")).grid
+        assert sorted(alone) == [("ldsp", b) for b in range(1, 6)]
+        for b in range(2, 6):
+            assert both[("ldsp", b)] == both[("drca", b)] == alone[("ldsp", b)]
+
+    def test_five_argument_call_predicts_like_the_shared_chain(self, small_synth):
+        # run_experiment passes one chain, seeded from the shared calibration
+        # model, to both methods; a call without it builds the same chain.
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        scored = [strip_labels(cal)] + targets
+        k = small_synth.feature_dim - 1
+        chain = run_complement(cal, targets, CLF, adaptation.train_calibration_model(cal, CLF))
+        assert sorted(chain) == [t.batch_id for t in targets]
+        configs = {"drca": DrcaConfig(0.3, k), "ldsp": LdspConfig(0.3, 5.0, 50.0, k)}
+        for method, config in configs.items():
+            alone = run_subspace_method(cal, scored, method, config, CLF)
+            shared = run_subspace_method(cal, scored, method, config, CLF, chain)
+            for a, b in zip(alone, shared):
+                assert (a.method, a.batch_id) == (b.method, b.batch_id)
+                assert np.array_equal(a.predicted, b.predicted)
+                assert np.array_equal(a.confidence, b.confidence)
 
     def test_drca_and_ldsp_differ_below_full_rank(self, small_synth):
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
@@ -147,6 +172,8 @@ class TestSubspaceRuns:
     def test_warm_start_keeps_predictions_and_saves_iterations(
         self, small_synth, monkeypatch, method
     ):
+        # The chain's first fit starts from the calibration model carried
+        # through its basis, each later one from the fit before it.
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         k = small_synth.feature_dim - 1
         proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
@@ -164,10 +191,13 @@ class TestSubspaceRuns:
 
         warm, warm_iters = run(cold=False)
         cold, cold_iters = run(cold=True)
-        assert len(warm_iters) == len(cold_iters) == len(targets) > 1
+        # the calibration fit, which always starts from zero, then one per target
+        assert len(warm_iters) == len(cold_iters) == 1 + len(targets) > 2
+        assert warm_iters[0] == cold_iters[0]
         for w, c in zip(warm, cold):
             assert np.array_equal(w.predicted, c.predicted)
             np.testing.assert_allclose(w.confidence, c.confidence, rtol=0, atol=1e-5)
+        assert warm_iters[1] < cold_iters[1]
         assert sum(warm_iters) < sum(cold_iters)
 
     @pytest.mark.parametrize("method", ["drca", "ldsp"])

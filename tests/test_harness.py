@@ -70,20 +70,33 @@ class TestRunExperiment:
         db.pop("created_at")
         assert da == db
 
-    @pytest.mark.parametrize("method, fits", [("none", 1), ("means", 1), ("drca", 5)])
+    @pytest.mark.parametrize(
+        "method, fits",
+        [("none", 1), ("means", 1), ("drca", 6), ("drca,ldsp", 7), ("none,drca", 6)],
+    )
     def test_calibration_model_trained_once_per_target_set(self, monkeypatch, method, fits):
-        # batch 1's reference row shares the call that scores batches 2..N
-        calls = []
-        real = adaptation.train_with_config
+        # batch 1's reference row shares the call that scores batches 2..N.
+        # DRCA and LDSP each fit their own reference row, and share one
+        # calibration fit and one complement fit per drifted target.
+        calls, complements = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(real, seen):
+            def wrapper(*args, **kwargs):
+                seen.append(1)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(adaptation, "train_with_config", counting)
+            return wrapper
+
+        monkeypatch.setattr(
+            adaptation, "train_with_config", counting(adaptation.train_with_config, calls)
+        )
+        monkeypatch.setattr(
+            adaptation, "complement_fit", counting(adaptation.complement_fit, complements)
+        )
         report = run_experiment(synth_config(methods=method))
         assert len(calls) == fits
-        assert sorted(b for _, b in report.grid) == [1, 2, 3, 4, 5]
+        assert len(complements) == (4 if "drca" in method else 0)
+        assert sorted({b for _, b in report.grid}) == [1, 2, 3, 4, 5]
 
     def test_none_and_selftrain_share_one_calibration_fit(self, monkeypatch):
         cfg = synth_config(methods="none,selftrain")
