@@ -7,7 +7,8 @@ evaluation reads it from the :class:`LabelStore` that the split produces.
 
 Strategies:
   none       train once on calibration, apply unchanged.
-  means      center calibration and each target batch on their own means.
+  means      center calibration and each target batch on their own means;
+             the calibration model, shifted, is the centred fit.
   drca       per-target deflated weighted-covariance transform, then train
              on the projected calibration data.
   ldsp       as drca, with source-label scatter terms in the objective.
@@ -21,7 +22,7 @@ fits (``run_complement``) that both share, seeded from the calibration model.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -130,7 +131,7 @@ def split_calibration(dataset: Dataset) -> tuple[Batch, list[TargetBatch], Label
 def train_calibration_model(calibration: Batch, clf_config: ClassifierConfig) -> LogRegModel:
     """The zero-start model on the calibration batch.
 
-    `none` and `selftrain` share it, and it seeds :func:`run_complement`'s chain.
+    `none`, `means` and `selftrain` share it, and it seeds :func:`run_complement`'s chain.
     """
     return train_with_config(calibration.feature_matrix(), calibration.label_vector(), clf_config)
 
@@ -156,10 +157,21 @@ def run_means_correction(
     calibration: Batch,
     targets: Sequence[TargetBatch],
     clf_config: ClassifierConfig,
+    calibration_model: LogRegModel | None = None,
 ) -> list[PredictionSet]:
-    """Center calibration and every target batch on their own means."""
-    Xc, _ = center_matrix(calibration.feature_matrix())
-    model = train_with_config(Xc, calibration.label_vector(), clf_config)
+    """Center calibration and every target batch on their own means.
+
+    The fit on the centred calibration batch is the calibration model
+    ``(W, b)`` (trained here if not given) with biases ``b + W mu_s``: the
+    logits of ``x - mu_s`` are unchanged, and the optimum does not depend on
+    a shift of the features.  So the model is shifted, not refitted.
+    """
+    model = calibration_model
+    if model is None:
+        model = train_calibration_model(calibration, clf_config)
+    W, b = model.weights[:, :-1], model.weights[:, -1:]
+    mu_s = calibration.feature_matrix().mean(axis=0)
+    model = replace(model, weights=np.hstack([W, b + (W @ mu_s)[:, None]]))
     out = []
     for t in targets:
         Tc, _ = center_matrix(t.features)

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import sorted_unique
+
 logger = logging.getLogger(__name__)
 
 ARMIJO_C = 1e-4
@@ -212,7 +214,7 @@ def train(
         raise ValueError("training features must be finite")
     if reg_strength <= 0:
         raise ValueError(f"reg_strength must be > 0, got {reg_strength}")
-    class_ids = np.unique(y)
+    class_ids = sorted_unique(y)
     n, k = X.shape
     C = class_ids.shape[0]
     if C < 2:

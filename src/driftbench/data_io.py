@@ -477,5 +477,5 @@ def dataset_checksum(dataset: Dataset) -> str:
         rows["label"] = batch.labels
         rows["conc"] = batch.concentrations
         rows["x"] = batch.features
-        h.update(rows.tobytes())
+        h.update(rows)
     return h.hexdigest()

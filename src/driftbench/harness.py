@@ -38,7 +38,7 @@ from .data_io import (
     load_dataset,
 )
 from .metrics import accuracy, f1_score
-from .preprocess import normalize_dataset
+from .preprocess import normalize_batches
 from .subspace import lda_fit, pca_fit, project
 
 # Points past this absolute projection value get the `clipped` flag in exports.
@@ -127,17 +127,24 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     raw = load_input_dataset(cfg)
     check_components(cfg, raw)
     checksum = dataset_checksum(raw)
-    dataset = normalize_dataset(raw) if cfg.normalize else raw
+    # The run owns what it loaded: it rescales the batches in place in the
+    # loaded dict, so each raw batch is freed as soon as its rescaled copy
+    # exists and the run never holds two full copies of the data.
+    batches = raw.batches
+    del raw
+    if cfg.normalize:
+        normalize_batches(batches)
+    dataset = Dataset(batches)
     calibration, targets, labels = split_calibration(dataset)
     reference = strip_labels(dataset.batch(REFERENCE_BATCH_ID))
 
     clf, st = cfg.classifier, cfg.selftrain
-    # `none` and `selftrain` both start from the plain calibration fit; it is
-    # deterministic, so one fit serves both, and it seeds the full-complement
-    # chain that `drca` and `ldsp` share (run_complement trains it when the
-    # chain needs it and neither of the others runs).
+    # `none`, `means` and `selftrain` all start from the plain calibration
+    # fit; it is deterministic, so one fit serves all three, and it seeds the
+    # full-complement chain that `drca` and `ldsp` share (run_complement
+    # trains it when the chain needs it and none of the others runs).
     shared = None
-    if {"none", "selftrain"} & set(cfg.methods):
+    if {"none", "means", "selftrain"} & set(cfg.methods):
         shared = train_calibration_model(calibration, clf)
     complement = None
     if any(m in cfg.methods and getattr(cfg, m).components == dataset.feature_dim - 1
@@ -149,7 +156,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     # sees every call.
     strategies = {
         "none": lambda: run_no_adaptation(calibration, scored, clf, shared),
-        "means": lambda: run_means_correction(calibration, scored, clf),
+        "means": lambda: run_means_correction(calibration, scored, clf, shared),
         "drca": lambda: run_subspace_method(
             calibration, scored, "drca", cfg.drca, clf, complement
         ),

@@ -5,6 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of a vector in ascending order, as ``np.unique``
+    returns them for a vector without NaN.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call (numpy 2.4), a
+    module that nothing else in a run needs.
+    """
+    v = np.sort(np.asarray(values).ravel())
+    keep = np.ones(v.shape, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def _check_pair(predicted, actual) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(predicted)
     a = np.asarray(actual)
@@ -26,7 +39,7 @@ def f1_score(predicted, actual) -> float:
     either vector; a per-class precision or recall with a zero denominator
     counts as 0."""
     p, a = _check_pair(predicted, actual)
-    classes = np.unique(np.concatenate([a, p]))
+    classes = sorted_unique(np.concatenate([a, p]))
     f1 = np.zeros(classes.shape[0])
     for i, c in enumerate(classes):
         tp = np.count_nonzero((p == c) & (a == c))

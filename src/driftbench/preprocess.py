@@ -50,9 +50,11 @@ def apply_minmax_matrix(params: NormalizationParams, X: np.ndarray) -> np.ndarra
             f"feature dimension {X.shape[-1]} does not match params ({params.min.shape[0]})"
         )
     span = params.max - params.min
-    safe = np.where(span > 0, span, 1.0)
-    out = (X - params.min) / safe
-    return np.where(span > 0, out, 0.0)
+    flat = span == 0
+    out = np.subtract(X, params.min)
+    out /= np.where(flat, 1.0, span)
+    out[..., flat] = 0.0
+    return out
 
 
 def normalize_batch(params: NormalizationParams, batch: Batch) -> Batch:
@@ -60,10 +62,23 @@ def normalize_batch(params: NormalizationParams, batch: Batch) -> Batch:
     return replace(batch, features=apply_minmax_matrix(params, batch.features))
 
 
+def normalize_batches(batches: dict[int, Batch]) -> None:
+    """Rescale every batch of ``batches`` in place, with the extrema of batch 1.
+
+    Each batch is replaced as soon as its rescaled copy exists, so a caller
+    that holds no other reference to the old batches never holds two full
+    copies of the data.
+    """
+    params = fit_minmax(batches[1])
+    for bid in batches:
+        batches[bid] = normalize_batch(params, batches[bid])
+
+
 def normalize_dataset(dataset: Dataset) -> Dataset:
-    """Rescale every batch with the extrema of batch 1."""
-    params = fit_minmax(dataset.batch(1))
-    return Dataset({bid: normalize_batch(params, b) for bid, b in dataset.batches.items()})
+    """Rescale every batch with the extrema of batch 1; ``dataset`` is left as it was."""
+    batches = dict(dataset.batches)
+    normalize_batches(batches)
+    return Dataset(batches)
 
 
 def center_matrix(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

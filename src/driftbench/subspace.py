@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import sorted_unique
+
 
 @dataclass(frozen=True)
 class DrcaConfig:
@@ -116,7 +118,7 @@ def scatter_matrices(samples: np.ndarray, labels) -> tuple[np.ndarray, np.ndarra
     grand_mean = X.mean(axis=0)
     s_w = np.zeros((d, d))
     s_b = np.zeros((d, d))
-    for c in np.unique(y):
+    for c in sorted_unique(y):
         Xc = X[y == c]
         mu_c = Xc.mean(axis=0)
         centered = Xc - mu_c
@@ -181,7 +183,7 @@ def lda_fit(samples: np.ndarray, labels, k: int) -> LinearProjection:
     """
     X = np.asarray(samples, dtype=float)
     y = np.asarray(labels)
-    classes = np.unique(y)
+    classes = sorted_unique(y)
     if classes.shape[0] < 2:
         raise ValueError("LDA needs at least 2 classes")
     d = X.shape[1]
@@ -283,7 +285,7 @@ def ldsp_fit(
     eigenvectors are still ranked by descending signed eigenvalue.
     """
     y = np.asarray(source_labels)
-    if np.unique(y).shape[0] < 2:
+    if sorted_unique(y).shape[0] < 2:
         raise ValueError("LDSP needs at least 2 source classes")
     s_w, s_b = scatter_matrices(source, y)
     extra = -config.within_weight * s_w + config.between_weight * s_b

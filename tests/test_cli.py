@@ -371,3 +371,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_run_leaves_numpy_ma_unloaded(config_file, tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.4), which a run
+    # pays for in import time and memory and does not need.  numpy 1.x
+    # imports it with numpy itself, and then there is nothing to save.
+    src = str(Path(driftbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["run", "--config", str(config_file), "--method", "all", "--out", str(tmp_path / "out")]
+    probe = (
+        "import sys, driftbench.cli; "
+        "loaded = 'numpy.ma' in sys.modules; "
+        f"code = driftbench.cli.main({argv!r}); "
+        "print(code, not loaded and 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -1,10 +1,11 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from driftbench import adaptation
+from driftbench import adaptation, harness
 from driftbench.config import ConfigError, resolve_config
 from driftbench.data_io import Batch, Dataset
 from driftbench.harness import (
@@ -97,6 +98,27 @@ class TestRunExperiment:
         assert len(calls) == fits
         assert len(complements) == (4 if "drca" in method else 0)
         assert sorted({b for _, b in report.grid}) == [1, 2, 3, 4, 5]
+
+    def test_raw_batches_are_freed_before_the_split(self, monkeypatch):
+        # The run rescales the loaded batches in place, so no raw batch
+        # outlives its rescaled copy: the run holds one copy of the data.
+        raw, alive = [], []
+        load, split = harness.load_input_dataset, harness.split_calibration
+
+        def loading(cfg):
+            dataset = load(cfg)
+            raw.extend(weakref.ref(b) for b in dataset.batches.values())
+            return dataset
+
+        def splitting(dataset):
+            alive.extend(ref for ref in raw if ref() is not None)
+            return split(dataset)
+
+        monkeypatch.setattr(harness, "load_input_dataset", loading)
+        monkeypatch.setattr(harness, "split_calibration", splitting)
+        run_experiment(synth_config(methods="none"))
+        assert len(raw) == 5
+        assert alive == []
 
     def test_none_and_selftrain_share_one_calibration_fit(self, monkeypatch):
         cfg = synth_config(methods="none,selftrain")

@@ -65,6 +65,18 @@ class TestMinMax:
         mid = apply_minmax_matrix(params, (x[0:1] + x[1:2]) / 2)
         assert np.allclose(mid, (out[0] + out[1]) / 2, atol=1e-12)
 
+    def test_matches_the_three_step_formula_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        calibration = rng.normal(size=(30, 5)) * 40
+        calibration[:, 2] = 7.5  # a zero-span feature
+        params = fit_minmax(make_batch(calibration))
+        X = rng.normal(size=(50, 5)) * 80
+        span = params.max - params.min
+        expected = np.where(span > 0, (X - params.min) / np.where(span > 0, span, 1.0), 0.0)
+        out = apply_minmax_matrix(params, X)
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(out[:, 2], np.zeros(50))
+
     def test_params_validate_ordering(self):
         with pytest.raises(ValueError, match="min"):
             NormalizationParams(np.array([1.0]), np.array([0.0]))
@@ -75,6 +87,16 @@ class TestMinMax:
         X1 = out.batch(1).feature_matrix()
         assert X1.min() >= 0.0 and X1.max() <= 1.0
         assert np.array_equal(out.batch(2).label_vector(), small_synth.batch(2).label_vector())
+
+    def test_normalize_dataset_leaves_its_input_as_it_was(self, small_synth):
+        before = dict(small_synth.batches)
+        copies = {bid: b.features.copy() for bid, b in before.items()}
+        out = normalize_dataset(small_synth)
+        assert small_synth.batches == before
+        for bid, batch in small_synth.batches.items():
+            assert batch is before[bid]
+            assert np.array_equal(batch.features, copies[bid])
+            assert out.batch(bid) is not batch
 
 
 class TestCenter:

@@ -1,9 +1,10 @@
-"""The traced run of ``perfbench/traced.py`` still sees every strategy.
+"""The traced run of ``perfbench/traced.py`` still sees every strategy, and
+every layer that perfbench requires of a traced ``run``.
 
 The tracer swaps module attributes for wrappers and keeps them swapped, so
 it runs in a subprocess.  A strategy that the harness reached through an
-object bound before the swap would record no span, and a traced benchmark
-run would fail on it.
+object bound before the swap, or a refactor that routes around a wrapped
+function, would record no span, and a traced benchmark run would fail on it.
 """
 
 import json
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from run import RUN_LAYERS  # perfbench/run.py: the spans a traced `run` must record
 
 ROOT = Path(__file__).resolve().parents[1]
 STRATEGY_SPANS = {f"adaptation.{m}" for m in ("none", "means", "drca", "ldsp", "selftrain")}
@@ -42,5 +45,8 @@ def test_traced_run_records_a_span_for_every_strategy(tmp_path):
     done = subprocess.run(command, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     doc = json.loads(trace.read_text())
-    assert STRATEGY_SPANS <= {span["name"] for span in doc["spans"]}
+    names = {span["name"] for span in doc["spans"]}
+    assert STRATEGY_SPANS <= names
+    # perfbench's traced run fails on any of these that left no span
+    assert RUN_LAYERS | {"data_io.generate"} <= names
     assert doc["counters"]["classifier.fits"] > 0
