@@ -15,7 +15,8 @@ Strategies:
   selftrain  confidence-gated pseudo-labeling with retraining.
 
 At full complement (components = D - 1) drca and ldsp coincide on every
-drifted target: one Householder basis and no eigenproblem, in one chain of
+drifted target: the calibration fit with its weights kept orthogonal to the
+mean difference, with no eigenproblem and no projection, in one chain of
 fits (``run_complement``) that both share, seeded from the calibration model.
 """
 
@@ -29,16 +30,7 @@ import numpy as np
 
 from .classifier import ClassifierConfig, LogRegModel, predict, train_with_config
 from .data_io import Batch, Dataset
-from .preprocess import center_matrix
-from .subspace import (
-    DrcaConfig,
-    LdspConfig,
-    complement_fit,
-    deflation_threshold,
-    drca_fit,
-    ldsp_fit,
-    project,
-)
+from .subspace import DrcaConfig, LdspConfig, deflation_threshold, drca_fit, ldsp_fit, project
 
 logger = logging.getLogger(__name__)
 
@@ -164,18 +156,20 @@ def run_means_correction(
     The fit on the centred calibration batch is the calibration model
     ``(W, b)`` (trained here if not given) with biases ``b + W mu_s``: the
     logits of ``x - mu_s`` are unchanged, and the optimum does not depend on
-    a shift of the features.  So the model is shifted, not refitted.
+    a shift of the features.  So the model is shifted, not refitted, and the
+    target's own centring moves into its biases too: ``x - mu_t`` scores as
+    ``x`` does under biases ``b + W (mu_s - mu_t)``, with no centred copy.
     """
     model = calibration_model
     if model is None:
         model = train_calibration_model(calibration, clf_config)
     W, b = model.weights[:, :-1], model.weights[:, -1:]
     mu_s = calibration.feature_matrix().mean(axis=0)
-    model = replace(model, weights=np.hstack([W, b + (W @ mu_s)[:, None]]))
     out = []
     for t in targets:
-        Tc, _ = center_matrix(t.features)
-        pred, conf = predict(model, Tc)
+        shift = W @ (mu_s - t.features.mean(axis=0))
+        shifted = replace(model, weights=np.hstack([W, b + shift[:, None]]))
+        pred, conf = predict(shifted, t.features)
         out.append(PredictionSet("means", t.batch_id, pred, conf))
     return out
 
@@ -189,36 +183,39 @@ def run_complement(
     """The full-complement chain that DRCA and LDSP share at ``components`` = D - 1.
 
     Covers every target whose mean differs from the calibration mean by more
-    than ``deflation_threshold``: one :func:`complement_fit`, one projection
-    of each domain and one classifier fit per target, whatever the method or
-    its weights.  Returns ``{batch_id: (predicted, confidence)}``.  The first
-    fit starts from the calibration model (trained here if not given)
-    carried through that target's basis ``Q``: weights ``[W0 Q, b0 + W0
-    mu_s]``, since ``project`` centres the source on ``mu_s``.  Every later
-    fit starts from the model before it: weights ``W_prev Q_prevᵀ Q_new``
-    and the same biases.  The optimum does not depend on the start.
+    than ``deflation_threshold``: keeping the whole complement of the mean
+    difference ``d = mu_s - mu_t`` is the calibration fit with its weights
+    kept orthogonal to ``d``, whatever the method or its weights.  With
+    ``u = d / |d|``, each target takes one classifier fit on ``X - (X u) uᵀ``,
+    which has no component along ``u``: every gradient, and so every step,
+    is orthogonal to ``u``, and a start orthogonal to ``u`` keeps the
+    weights there.  Then ``W d = 0``, the target's shift leaves its logits
+    alone, and the target is predicted as it is.  Returns
+    ``{batch_id: (predicted, confidence)}``.
+
+    The first fit starts from the calibration model (trained here if not
+    given), every later fit from the model before it, both as
+    ``[W - (W u) uᵀ, b + (W u)(u · mu_s)]``, which keeps the logits at
+    ``mu_s``.  The optimum does not depend on the start.
     """
     X = calibration.feature_matrix()
     y = calibration.label_vector()
     mu_s = X.mean(axis=0)
     out = {}
-    model = prev = None
+    model = calibration_model
     for t in targets:
-        if np.linalg.norm(mu_s - t.features.mean(axis=0)) <= deflation_threshold(X.shape[1]):
+        d = mu_s - t.features.mean(axis=0)
+        norm = np.linalg.norm(d)
+        if norm <= deflation_threshold(X.shape[1]):
             continue
-        proj = complement_fit(X, t.features)
-        # (W, b): the start in feature space, before the basis is applied
+        u = d / norm
         if model is None:
-            if calibration_model is None:
-                calibration_model = train_calibration_model(calibration, clf_config)
-            W, b = calibration_model.weights[:, :-1], calibration_model.weights[:, -1:]
-            b = b + (W @ mu_s)[:, None]
-        else:
-            W, b = model.weights[:, :-1] @ prev.matrix.T, model.weights[:, -1:]
-        init = np.hstack([W @ proj.matrix, b])
-        model = train_with_config(project(proj, X, "source"), y, clf_config, init_weights=init)
-        prev = proj
-        out[t.batch_id] = predict(model, project(proj, t.features, "target"))
+            model = train_calibration_model(calibration, clf_config)
+        W, b = model.weights[:, :-1], model.weights[:, -1]
+        Wu = W @ u
+        init = np.hstack([W - np.outer(Wu, u), (b + Wu * (u @ mu_s))[:, None]])
+        model = train_with_config(X - np.outer(X @ u, u), y, clf_config, init_weights=init)
+        out[t.batch_id] = predict(model, t.features)
     return out
 
 

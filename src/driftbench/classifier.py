@@ -23,8 +23,8 @@ a transposed view of ``X``, so the softmax reductions run along rows of
 samples, not along rows only C wide.  Callers that fit a sequence of
 related problems pass the previous model as ``init_weights``:
 self-training passes the model before it, and DRCA/LDSP pass the
-calibration model or the previous target's model, carried through feature
-space (see ``adaptation``).
+calibration model or the previous target's model, moved onto the new
+target's subspace (see ``adaptation``).
 """
 
 from __future__ import annotations

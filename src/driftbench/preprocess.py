@@ -1,4 +1,4 @@
-"""Feature scaling anchored on the calibration batch, plus per-batch centering.
+"""Feature scaling anchored on the calibration batch.
 
 Min-max parameters are learned from batch 1 only and applied unchanged to
 every batch, so later batches can (and do) land far outside [0, 1].  Outputs
@@ -80,11 +80,3 @@ def normalize_dataset(dataset: Dataset) -> Dataset:
     normalize_batches(batches)
     return Dataset(batches)
 
-
-def center_matrix(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the column mean; returns (centered, mean)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] == 0:
-        raise ValueError("cannot center an empty matrix")
-    mean = X.mean(axis=0)
-    return X - mean, mean

@@ -10,8 +10,9 @@ retained directions also separate the labeled source classes.
 When the mean difference is non-negligible and all D - 1 directions of its
 complement are kept, the eigenproblem only picks a basis of that complement,
 and a classifier trained on the projected data reaches the same optimum in
-any basis.  :func:`complement_fit` serves that case for both methods with
-one Householder basis and no eigenproblem.
+any basis: the calibration fit with its weights kept orthogonal to the mean
+difference.  ``adaptation.run_complement`` fits that case for both methods
+in feature space, with no basis and no projection.
 
 All eigen fits are deterministic: eigenvalues are ordered descending with a
 stable index tie-break, and every returned column is sign-fixed so its
@@ -69,8 +70,7 @@ class LinearProjection:
     Columns of ``matrix`` are the projection directions.  ``source_center``
     and ``target_center`` are the means subtracted before projecting data
     from the respective domain (equal for PCA/LDA, which have one domain).
-    ``eigenvalues`` are the objective values of the retained directions; they
-    are empty when no eigenproblem was solved (:func:`complement_fit`).
+    ``eigenvalues`` are the objective values of the retained directions.
     """
 
     matrix: np.ndarray
@@ -211,19 +211,6 @@ def lda_fit(samples: np.ndarray, labels, k: int) -> LinearProjection:
     return LinearProjection(W, mean, mean, vals)
 
 
-def _check_domains(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both domains as float arrays, checked to be non-empty (n, D) with one D."""
-    Xs = np.asarray(source, dtype=float)
-    Xt = np.asarray(target, dtype=float)
-    if Xs.ndim != 2 or Xt.ndim != 2 or Xs.shape[0] < 1 or Xt.shape[0] < 1:
-        raise ValueError("source and target must be non-empty (n, D) matrices")
-    if Xs.shape[1] != Xt.shape[1]:
-        raise ValueError(
-            f"source dim {Xs.shape[1]} does not match target dim {Xt.shape[1]}"
-        )
-    return Xs, Xt
-
-
 def _deflated_fit(
     source: np.ndarray,
     target: np.ndarray,
@@ -232,7 +219,14 @@ def _deflated_fit(
     k: int,
 ) -> LinearProjection:
     """Shared DRCA/LDSP path: deflate the mean difference, eigendecompose."""
-    Xs, Xt = _check_domains(source, target)
+    Xs = np.asarray(source, dtype=float)
+    Xt = np.asarray(target, dtype=float)
+    if Xs.ndim != 2 or Xt.ndim != 2 or Xs.shape[0] < 1 or Xt.shape[0] < 1:
+        raise ValueError("source and target must be non-empty (n, D) matrices")
+    if Xs.shape[1] != Xt.shape[1]:
+        raise ValueError(
+            f"source dim {Xs.shape[1]} does not match target dim {Xt.shape[1]}"
+        )
     d = Xs.shape[1]
     mu_s = Xs.mean(axis=0)
     mu_t = Xt.mean(axis=0)
@@ -290,27 +284,6 @@ def ldsp_fit(
     s_w, s_b = scatter_matrices(source, y)
     extra = -config.within_weight * s_w + config.between_weight * s_b
     return _deflated_fit(source, target, extra, config.target_weight, config.components)
-
-
-def complement_fit(source: np.ndarray, target: np.ndarray) -> LinearProjection:
-    """DRCA or LDSP at full complement, k = D - 1, without an eigenproblem.
-
-    With a non-negligible mean difference ``mu_s - mu_t``, a ``drca_fit`` or
-    ``ldsp_fit`` that keeps D - 1 components spans exactly the hyperplane
-    orthogonal to it, whatever the weights; the eigenproblem only chooses a
-    basis.  This fit returns the Householder basis of that hyperplane and the
-    two domain means as centres, and computes no covariance, no scatter
-    matrix and no eigenvectors, so ``eigenvalues`` is empty.  A negligible
-    mean difference (below ``deflation_threshold``) leaves no hyperplane to
-    take and is rejected.
-    """
-    Xs, Xt = _check_domains(source, target)
-    mu_s = Xs.mean(axis=0)
-    mu_t = Xt.mean(axis=0)
-    diff = mu_s - mu_t
-    if not np.linalg.norm(diff) > deflation_threshold(Xs.shape[1]):
-        raise ValueError("complement_fit needs a non-negligible mean difference")
-    return LinearProjection(_complement_basis(diff), mu_s, mu_t, np.empty(0))
 
 
 def project(p: LinearProjection, samples: np.ndarray, domain: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from driftbench.classifier import ClassifierConfig, predict, train_with_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
 from driftbench.harness import run_experiment
 from driftbench.metrics import accuracy
-from driftbench.preprocess import center_matrix, normalize_dataset
+from driftbench.preprocess import normalize_dataset
 from driftbench.subspace import DrcaConfig, LdspConfig, drca_fit, ldsp_fit
 from test_harness import synth_config
 
@@ -76,7 +76,7 @@ class TestNoAdaptation:
 class TestMeansCorrection:
     def test_calibration_as_target_matches_centered_no_adaptation(self, small_synth):
         cal, _, store = split_calibration(small_synth)
-        centered_cal = replace(cal, features=center_matrix(cal.features)[0])
+        centered_cal = replace(cal, features=cal.features - cal.features.mean(axis=0))
         via_means = run_means_correction(cal, [strip_labels(cal)], CLF)
         via_none = run_no_adaptation(centered_cal, [strip_labels(centered_cal)], CLF)
         assert np.array_equal(via_means[0].predicted, via_none[0].predicted)
@@ -172,8 +172,8 @@ class TestSubspaceRuns:
     def test_warm_start_keeps_predictions_and_saves_iterations(
         self, small_synth, monkeypatch, method
     ):
-        # The chain's first fit starts from the calibration model carried
-        # through its basis, each later one from the fit before it.
+        # The chain's first fit starts from the calibration model, each later
+        # one from the fit before it, with the new direction projected out.
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         k = small_synth.feature_dim - 1
         proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
@@ -228,22 +228,38 @@ class TestSubspaceRuns:
         assert calls[method] == (len(scored) if below_full else 1)
 
     @pytest.mark.parametrize("method", ["drca", "ldsp"])
-    def test_complement_path_predicts_like_the_eigen_path(self, small_synth, monkeypatch, method):
+    def test_complement_path_predicts_like_the_eigen_path(self, small_synth, method):
+        # An empty chain sends every target through drca_fit or ldsp_fit.
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         k = small_synth.feature_dim - 1
         proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
         complement = run_subspace_method(cal, targets, method, proj_config, CLF)
-
-        def eigen(source, target):
-            if method == "drca":
-                return drca_fit(source, target, proj_config)
-            return ldsp_fit(source, cal.label_vector(), target, proj_config)
-
-        monkeypatch.setattr(adaptation, "complement_fit", eigen)
-        eigen_path = run_subspace_method(cal, targets, method, proj_config, CLF)
+        eigen_path = run_subspace_method(cal, targets, method, proj_config, CLF, complement={})
+        assert len(complement) == len(eigen_path) == len(targets)
         for a, b in zip(complement, eigen_path):
+            assert a.batch_id == b.batch_id
             assert np.array_equal(a.predicted, b.predicted)
             np.testing.assert_allclose(a.confidence, b.confidence, rtol=0, atol=1e-5)
+
+    def test_chain_weights_stay_orthogonal_to_the_mean_difference(self, small_synth, monkeypatch):
+        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
+        mu_s = cal.features.mean(axis=0)
+        models = []
+
+        def spying(X, y, config, init_weights=None):
+            model = train_with_config(X, y, config, init_weights=init_weights)
+            models.append(model)
+            return model
+
+        monkeypatch.setattr(adaptation, "train_with_config", spying)
+        chain = run_complement(cal, targets, CLF)
+        # the calibration fit, then one per target
+        assert sorted(chain) == [t.batch_id for t in targets]
+        assert len(models) == 1 + len(targets)
+        for t, model in zip(targets, models[1:]):
+            d = mu_s - t.features.mean(axis=0)
+            W = model.weights[:, :-1]
+            assert np.linalg.norm(W @ (d / np.linalg.norm(d))) <= 1e-12 * np.linalg.norm(W)
 
 
 class TestSelfTraining:

@@ -78,25 +78,17 @@ class TestRunExperiment:
     def test_calibration_model_trained_once_per_target_set(self, monkeypatch, method, fits):
         # batch 1's reference row shares the call that scores batches 2..N.
         # DRCA and LDSP each fit their own reference row, and share one
-        # calibration fit and one complement fit per drifted target.
-        calls, complements = [], []
+        # calibration fit and one chain fit per drifted target.
+        calls = []
+        train = adaptation.train_with_config
 
-        def counting(real, seen):
-            def wrapper(*args, **kwargs):
-                seen.append(1)
-                return real(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(
-            adaptation, "train_with_config", counting(adaptation.train_with_config, calls)
-        )
-        monkeypatch.setattr(
-            adaptation, "complement_fit", counting(adaptation.complement_fit, complements)
-        )
+        monkeypatch.setattr(adaptation, "train_with_config", counting)
         report = run_experiment(synth_config(methods=method))
         assert len(calls) == fits
-        assert len(complements) == (4 if "drca" in method else 0)
         assert sorted({b for _, b in report.grid}) == [1, 2, 3, 4, 5]
 
     def test_raw_batches_are_freed_before_the_split(self, monkeypatch):

@@ -7,7 +7,8 @@ follow the path.  The default report must equal a report in which every fit
 starts cold (``init_weights`` dropped) and runs to ``classifier.tol`` 1e-9.
 On the benchmark's ``adapt-synthetic`` config at drift step 0.3, cold fits
 at the default ``tol`` move a cell, so that case is the one that shows a
-path-dependent grid.
+path-dependent grid.  At drift step 0.6 the DRCA/LDSP batch-6 cell
+depends on the coordinates the shared chain is fitted in.
 """
 
 import pytest
@@ -30,7 +31,7 @@ def cold_tight_csv(monkeypatch, keys: dict) -> str:
     return report_to_csv(run_experiment(resolve_config({**keys, "classifier.tol": 1e-9})))
 
 
-@pytest.mark.parametrize("drift_step", [0.3, 0.5])
+@pytest.mark.parametrize("drift_step", [0.3, 0.4, 0.5, 0.6])
 def test_adapt_synthetic_grid_is_the_cold_tight_grid(monkeypatch, drift_step):
     keys = {**SYNTHETIC, "synthetic.drift_step": drift_step}
     default = report_to_csv(run_experiment(resolve_config(keys)))

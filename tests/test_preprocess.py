@@ -5,7 +5,6 @@ from driftbench.data_io import Batch
 from driftbench.preprocess import (
     NormalizationParams,
     apply_minmax_matrix,
-    center_matrix,
     fit_minmax,
     normalize_batch,
     normalize_dataset,
@@ -98,25 +97,3 @@ class TestMinMax:
             assert np.array_equal(batch.features, copies[bid])
             assert out.batch(bid) is not batch
 
-
-class TestCenter:
-    def test_mean_removed(self):
-        rng = np.random.default_rng(1)
-        X, mean = center_matrix(rng.normal(size=(25, 6)) + 100)
-        assert np.abs(X.mean(axis=0)).max() < 1e-10
-        assert np.allclose(mean, 100, atol=1.0)
-
-    def test_single_sample_becomes_zero(self):
-        X, mean = center_matrix(np.array([[3.0, -4.0]]))
-        assert np.array_equal(X, [[0.0, 0.0]])
-        assert np.array_equal(mean, [3.0, -4.0])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(2)
-        once, _ = center_matrix(rng.normal(size=(10, 3)))
-        _, second_mean = center_matrix(once)
-        assert np.abs(second_mean).max() < 1e-10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            center_matrix(np.zeros((0, 3)))
