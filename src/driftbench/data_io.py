@@ -19,7 +19,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -145,6 +145,10 @@ class Dataset:
 
 
 def _parse_head(token: str, at: str) -> tuple[int, float]:
+    """Parse a line's ``label[;concentration]`` head; both parsers use it.
+
+    A change to what this accepts or returns must bump ``_CACHE_VERSION``.
+    """
     lab_s, sep, conc_s = token.partition(";")
     try:
         label = int(lab_s)
@@ -180,6 +184,9 @@ def parse_sample_line(
         DataFormatError: malformed token, index out of range or not strictly
             increasing, unparseable number, or label outside {1..6}.  The
             message names the offending token and, when given, the line number.
+
+    A change to what this accepts or returns must bump ``_CACHE_VERSION``,
+    whose cached columns reproduce this parser's.
     """
     at = f"line {line_no}: " if line_no is not None else ""
     tokens = line.split()
@@ -251,21 +258,28 @@ class _NotDense(Exception):
     """A line of the file is not a dense line the one-pass parse may take."""
 
 
-def _parse_dense(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Parse a file of dense lines in one pass into ``(labels, concentrations,
-    features)``, or return None.
+def _parse_dense(
+    path: Path, digest: hashlib._Hash
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse a file of dense lines in one pass into ``(labels,
+    concentrations, features)``, or return None.
 
     Takes only files whose every non-blank line ``parse_sample_line`` accepts
     with all 128 indices in order, and returns bit-identical arrays for them.
     Anything else (a sparse or malformed line, a tab, a lone carriage return,
     a non-finite value) returns None, and the per-line parser decides and
     words the error.  The file is streamed, never held whole, so loading
-    stays well under the memory the fits need later.
+    stays well under the memory the fits need later.  Each line is fed to
+    ``digest`` as it is read, so after a parse that returns columns the
+    digest covers exactly the bytes they came from.  A change to what this
+    accepts or returns must bump ``_CACHE_VERSION``.
     """
     heads: list[tuple[int, float]] = []
 
     def pairs(fh):
-        for line in map(bytes.rstrip, fh):
+        for raw in fh:
+            digest.update(raw)
+            line = raw.rstrip()
             if not line:
                 continue
             if line.translate(_SKELETON_TABLE, _NUMBER_BYTES) != _DENSE_SKELETON:
@@ -328,17 +342,98 @@ def _parse_lines(
     return np.array(labels), np.array(concentrations), np.stack(features)
 
 
+# Parsed columns of dense batch files, one entry per file, beside the data:
+# ``<data dir>/.driftbench-cache/batch<N>.dat.npy``.  An entry is four arrays
+# saved one after another with ``np.save``: the SHA-256 of _CACHE_VERSION and
+# the file's bytes, then the labels, concentrations and features.  Any edit
+# of the file misses, and a changed file's entry is replaced.  Bump
+# _CACHE_VERSION whenever the parse rules change: GAS_LABELS, _parse_head,
+# parse_sample_line or _parse_dense.
+CACHE_DIR = ".driftbench-cache"
+_CACHE_VERSION = 1
+
+
+def _cache_digest() -> hashlib._Hash:
+    """A SHA-256 that gives a file's cache key once fed the file's bytes."""
+    return hashlib.sha256(b"driftbench parsed columns v%d\n" % _CACHE_VERSION)
+
+
+def _file_key(path: Path) -> bytes:
+    """The cache key of the file's current bytes, read in chunks."""
+    digest = _cache_digest()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 18):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _read_entry(entry: Path, path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns ``entry`` holds for the file at ``path``, as a fresh parse
+    gives them, or None if it is missing, unreadable, stale or not what a
+    parse makes.  The file is hashed only when an entry exists."""
+    try:
+        with open(entry, "rb") as fh:
+            if np.load(fh, allow_pickle=False).tobytes() != _file_key(path):
+                return None
+            labels, concentrations, features = [np.load(fh, allow_pickle=False) for _ in range(3)]
+    except Exception:
+        # Any failure is a miss.  A damaged entry makes np.load raise
+        # ValueError, EOFError, MemoryError (a header asking for an absurd
+        # shape) or tokenize.TokenError, and the file itself OSError.
+        return None
+    n = labels.size
+    if not (
+        n >= 1
+        and labels.dtype == np.dtype(int)
+        and labels.shape == concentrations.shape == (n,)
+        and concentrations.dtype == features.dtype == np.dtype(float)
+        and features.shape == (n, N_FEATURES)
+        and np.all(np.isin(labels, sorted(GAS_LABELS)))
+    ):
+        return None
+    return labels, concentrations, np.ascontiguousarray(features)
+
+
+def _write_entry(entry: Path, key: bytes, columns: tuple[np.ndarray, ...]) -> None:
+    """Store a dense parse's columns; a directory that cannot be written to
+    leaves the load as it was, with nothing stored."""
+
+    def write(fh):
+        for array in (np.frombuffer(key, dtype=np.uint8), *columns):
+            np.save(fh, array, allow_pickle=False)
+
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        atomic_write(entry, write, mode="wb")
+    except OSError:
+        pass
+
+
 def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]:
     """Parse one batch file; line errors are aggregated into a single failure.
 
-    A file of dense lines is parsed in one pass; any other file is parsed
-    line by line with ``parse_sample_line``, which also words every error.
-    The file is read as UTF-8 whatever the locale, and a line that is not
-    valid UTF-8 is one more malformed line.
+    A file of dense lines is parsed in one pass, and its columns are cached
+    in ``.driftbench-cache/`` beside it, keyed by the SHA-256 of its bytes;
+    a later load of the same bytes reads the entry instead, with the same
+    arrays and ``ParseStats``.  A load that finds an entry hashes the file in
+    a streamed read to check it; a parse hashes the lines as it reads them
+    and stores its entry under that hash, so the entry describes what was
+    parsed even if the file changes during the load.  A missing, stale or
+    unreadable entry, or a directory that cannot be written to, only means
+    the file is parsed.  Any other file is parsed line by line with
+    ``parse_sample_line``, which also words every error, and is never
+    cached.  The file is read as UTF-8 whatever the locale, and a line that
+    is not valid UTF-8 is one more malformed line.
     """
     path = Path(path)
+    entry = path.parent / CACHE_DIR / f"{path.name}.npy"
     stats = ParseStats()
-    columns = _parse_dense(path)
+    columns = _read_entry(entry, path)
+    if columns is None:
+        parsed = _cache_digest()
+        columns = _parse_dense(path, parsed)
+        if columns is not None:
+            _write_entry(entry, parsed.digest(), columns)
     if columns is not None:
         stats.lines = len(columns[0])
     else:
@@ -356,7 +451,8 @@ def load_dataset(directory: Path | str) -> Dataset:
 
     Every regular file named ``batch<N>.dat`` (N >= 1, no leading zero) is a
     batch; a gap in the sequence or a missing ``batch1.dat`` (the
-    calibration data) is fatal.
+    calibration data) is fatal.  Each file goes through ``load_batch_file``,
+    so a directory loaded before is served from its ``.driftbench-cache/``.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -394,13 +490,19 @@ def write_batch_file(path: Path | str, batch: Batch) -> None:
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write via a unique sibling temp file and rename, so readers never see
-    partials and concurrent writers to one path never share a temp file."""
+    """Write ``text`` to ``path`` with ``atomic_write``."""
+    atomic_write(path, lambda fh: fh.write(text))
+
+
+def atomic_write(path: Path | str, write: Callable[[IO], object], mode: str = "w") -> None:
+    """Call ``write`` on a unique sibling temp file opened with ``mode``, then
+    rename it over ``path``, so readers never see partials and concurrent
+    writers to one path never share a temp file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
         # mkstemp creates the file 0600; give it the mode a plain open() would.
         umask = os.umask(0)
         os.umask(umask)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import driftbench
-from driftbench import cli, harness
+from driftbench import cli, data_io, harness
 from driftbench.cli import _format_grid, main
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
 from driftbench.harness import Cell
@@ -216,6 +217,30 @@ class TestRun:
         da = json.loads((a / "report.json").read_text())
         db = json.loads((b / "report.json").read_text())
         assert da["provenance"]["dataset_checksum"] != db["provenance"]["dataset_checksum"]
+
+
+def test_warm_cache_run_parses_nothing_and_reports_the_same(standin_dir, tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(standin_dir, data, ignore=shutil.ignore_patterns(data_io.CACHE_DIR))
+    calls = []
+    for name in ("_parse_dense", "parse_sample_line"):
+
+        def spy(*args, _name=name, _real=getattr(data_io, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(data_io, name, spy)
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert main(["run", "--data-dir", str(data), "--out", str(cold)]) == 0
+    assert calls == ["_parse_dense"] * 10
+    calls.clear()
+    assert main(["run", "--data-dir", str(data), "--out", str(warm)]) == 0
+    assert calls == []
+    assert (cold / "report.csv").read_bytes() == (warm / "report.csv").read_bytes()
+    docs = [json.loads((d / "report.json").read_text()) for d in (cold, warm)]
+    for doc in docs:
+        doc.pop("created_at")
+    assert docs[0] == docs[1]
 
 
 class TestReport:

@@ -337,6 +337,40 @@ def batch_file_text(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
+def cache_entry(path):
+    return path.parent / data_io.CACHE_DIR / f"{path.name}.npy"
+
+
+def spy_dense_parse(monkeypatch):
+    """Count ``_parse_dense`` calls; the list gains one item per call."""
+    calls = []
+    parse = data_io._parse_dense
+
+    def spy(path, digest):
+        calls.append(path)
+        return parse(path, digest)
+
+    monkeypatch.setattr(data_io, "_parse_dense", spy)
+    return calls
+
+
+def write_random_batch(path, seed, n=5):
+    rng = np.random.default_rng(seed)
+    conc = rng.uniform(5, 1000, n)
+    conc[::2] = math.nan
+    batch = Batch(1, rng.normal(size=(n, 128)) * 1e3, rng.integers(1, 7, n), conc)
+    write_batch_file(path, batch)
+    return batch
+
+
+def assert_same_columns(got, want):
+    for name in ("labels", "concentrations", "features"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got.features.flags.c_contiguous
+
+
 class TestOnePass:
     """The one-pass parse of dense files against the per-line parser."""
 
@@ -385,11 +419,7 @@ class TestOnePass:
         assert assert_loads_like_reference(path) is None
 
     def test_canonical_dense_file_never_reaches_per_line_parser(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(3)
-        conc = rng.uniform(5, 1000, 6)
-        conc[::2] = math.nan
-        batch = Batch(1, rng.normal(size=(6, 128)) * 1e3, rng.integers(1, 7, 6), conc)
-        write_batch_file(tmp_path / "batch1.dat", batch)
+        batch = write_random_batch(tmp_path / "batch1.dat", seed=3, n=6)
         forbid_per_line_parser(monkeypatch)
         back, stats = load_batch_file(tmp_path / "batch1.dat", 1)
         assert back.features.tobytes() == batch.features.tobytes()
@@ -403,6 +433,163 @@ class TestOnePass:
         path = tmp_path_factory.mktemp("gen") / "batch1.dat"
         path.write_bytes(text.encode())
         assert_loads_like_reference(path)
+
+
+class TestCache:
+    """The parsed-column cache beside the data (``.driftbench-cache/``)."""
+
+    def test_hit_matches_miss_bit_for_bit(self, tmp_path, monkeypatch):
+        for bid in (1, 2):
+            write_random_batch(tmp_path / f"batch{bid}.dat", seed=bid, n=3 + bid)
+        path = tmp_path / "batch1.dat"
+        cold, cold_stats = load_batch_file(path, 1)
+        cold_sum = dataset_checksum(load_dataset(tmp_path))
+        assert cache_entry(path).is_file()
+        calls = spy_dense_parse(monkeypatch)
+        forbid_per_line_parser(monkeypatch)
+        warm, warm_stats = load_batch_file(path, 1)
+        assert calls == []
+        assert_same_columns(warm, cold)
+        assert warm_stats == cold_stats == ParseStats(lines=4)
+        assert dataset_checksum(load_dataset(tmp_path)) == cold_sum
+        assert calls == []
+
+    def test_same_size_edit_with_restored_mtime_is_reparsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "batch1.dat"
+        path.write_text(canonical_line(1) + "\n" + canonical_line(2, "250.5") + "\n")
+        load_batch_file(path, 1)
+        before = os.stat(path)
+        path.write_text(path.read_text().replace("7:7.25", "7:8.25", 1))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+        calls = spy_dense_parse(monkeypatch)
+        batch, _ = load_batch_file(path, 1)
+        assert len(calls) == 1
+        assert batch.features[0, 6] == 8.25
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-dtype", "pickled-object", "0-d"])
+    def test_damaged_entry_is_ignored_and_rewritten(self, tmp_path, monkeypatch, damage):
+        path = tmp_path / "batch1.dat"
+        want = write_random_batch(path, seed=5)
+        load_batch_file(path, 1)
+        entry = cache_entry(path)
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) - 100])
+        else:
+            key = data_io._file_key(path)
+            with open(entry, "wb") as fh:
+                np.save(fh, np.frombuffer(key, dtype=np.uint8))
+                if damage == "wrong-dtype":
+                    np.save(fh, want.labels.astype(np.int32))
+                elif damage == "0-d":
+                    np.save(fh, want.labels[0])
+                else:
+                    np.save(fh, want.labels.astype(object), allow_pickle=True)
+                np.save(fh, want.concentrations)
+                np.save(fh, want.features)
+        calls = spy_dense_parse(monkeypatch)
+        batch, stats = load_batch_file(path, 1)
+        assert len(calls) == 1
+        assert_same_columns(batch, want)
+        assert stats == ParseStats(lines=5)
+        assert entry.read_bytes() == good
+        load_batch_file(path, 1)
+        assert len(calls) == 1
+
+    def test_file_rewritten_during_load_is_keyed_by_the_bytes_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "batch1.dat"
+        write_random_batch(path, seed=11)
+        load_batch_file(path, 1)
+        hashed = write_random_batch(path, seed=12)
+        file_key = data_io._file_key
+
+        def key_then_rewrite(p):
+            key = file_key(p)
+            write_random_batch(p, seed=13, n=4)
+            return key
+
+        monkeypatch.setattr(data_io, "_file_key", key_then_rewrite)
+        parsed, _ = load_batch_file(path, 1)
+        monkeypatch.undo()
+        calls = spy_dense_parse(monkeypatch)
+        batch, stats = load_batch_file(path, 1)
+        assert calls == []
+        assert_same_columns(batch, parsed)
+        assert stats == ParseStats(lines=4)
+        write_random_batch(path, seed=12)
+        batch, _ = load_batch_file(path, 1)
+        assert len(calls) == 1
+        assert_same_columns(batch, hashed)
+
+    def test_entry_of_another_cache_version_is_ignored(self, tmp_path, monkeypatch):
+        path = tmp_path / "batch1.dat"
+        write_random_batch(path, seed=6)
+        monkeypatch.setattr(data_io, "_CACHE_VERSION", data_io._CACHE_VERSION + 1)
+        load_batch_file(path, 1)
+        monkeypatch.undo()
+        calls = spy_dense_parse(monkeypatch)
+        load_batch_file(path, 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_failed_entry_write_loads_and_leaves_nothing(self, tmp_path, monkeypatch, step):
+        # A read-only directory fails at mkstemp; a full disk may fail later,
+        # once the temp file exists.  Faked, so the test runs as any user.
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        where = data_io.tempfile if step == "mkstemp" else data_io.os
+        path = tmp_path / "batch1.dat"
+        want = write_random_batch(path, seed=7)
+        monkeypatch.setattr(where, step, fail)
+        batch, stats = load_batch_file(path, 1)
+        monkeypatch.undo()
+        assert_same_columns(batch, want)
+        assert stats == ParseStats(lines=5)
+        assert list((tmp_path / data_io.CACHE_DIR).iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [data_io.CACHE_DIR, "batch1.dat"]
+
+    def test_unusable_cache_directory_loads_and_is_left_alone(self, tmp_path):
+        path = tmp_path / "batch1.dat"
+        want = write_random_batch(path, seed=8)
+        (tmp_path / data_io.CACHE_DIR).write_text("not a directory\n")
+        batch, stats = load_batch_file(path, 1)
+        assert_same_columns(batch, want)
+        assert stats == ParseStats(lines=5)
+        assert (tmp_path / data_io.CACHE_DIR).read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [data_io.CACHE_DIR, "batch1.dat"]
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [canonical_line(1), "2;12.5 1:1.0 3:3.0"],
+            [canonical_line(1), "9 1:1.0", "1\t1:2.0"],
+        ],
+        ids=["sparse", "malformed"],
+    )
+    def test_fallback_files_are_never_cached(self, tmp_path, caplog, lines):
+        path = tmp_path / "batch1.dat"
+        path.write_text("\n".join(lines) + "\n")
+        first = assert_loads_like_reference(path)
+        assert assert_loads_like_reference(path) == first
+        assert not (tmp_path / data_io.CACHE_DIR).exists()
+        if first is None:
+            warned = [r for r in caplog.records if "zero-filled" in r.getMessage()]
+            assert len(warned) == 2
+
+    def test_rewritten_file_keeps_one_entry(self, tmp_path, monkeypatch):
+        path = tmp_path / "batch1.dat"
+        write_random_batch(path, seed=9)
+        load_batch_file(path, 1)
+        want = write_random_batch(path, seed=10, n=7)
+        load_batch_file(path, 1)
+        assert [p.name for p in (tmp_path / data_io.CACHE_DIR).iterdir()] == ["batch1.dat.npy"]
+        calls = spy_dense_parse(monkeypatch)
+        batch, _ = load_batch_file(path, 1)
+        assert calls == []
+        assert_same_columns(batch, want)
 
 
 class TestTypes:
