@@ -123,7 +123,8 @@ def split_calibration(dataset: Dataset) -> tuple[Batch, list[TargetBatch], Label
 def train_calibration_model(calibration: Batch, clf_config: ClassifierConfig) -> LogRegModel:
     """The zero-start model on the calibration batch.
 
-    `none`, `means` and `selftrain` share it, and it seeds :func:`run_complement`'s chain.
+    `none`, `means` and `selftrain` share it, and it seeds :func:`run_complement`'s chain
+    and the first eigen fit of :func:`run_subspace_method`.
     """
     return train_with_config(calibration.feature_matrix(), calibration.label_vector(), clf_config)
 
@@ -226,6 +227,7 @@ def run_subspace_method(
     config: DrcaConfig | LdspConfig,
     clf_config: ClassifierConfig,
     complement: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    calibration_model: LogRegModel | None = None,
 ) -> list[PredictionSet]:
     """Fit one transform and one classifier per target batch.
 
@@ -242,7 +244,11 @@ def run_subspace_method(
     such fit after the first starts from the one before it, carried through
     feature space: weights ``W_prev M_prevᵀ M_new`` (``M`` the projection
     matrix) and the same biases, since ``project`` centres each domain on
-    its own mean.  The optimum does not depend on the start.
+    its own mean.  The first starts from ``calibration_model`` when given,
+    carried the same way with ``M_prev = I``: weights ``W M`` and biases
+    ``b + W mu_s``, which keep its logits on the projected calibration data
+    where ``M Mᵀ`` keeps the features; without it, from zero.  The optimum
+    does not depend on the start.
     """
     if method not in ("drca", "ldsp"):
         raise ValueError(f"method must be 'drca' or 'ldsp', got '{method}'")
@@ -263,9 +269,12 @@ def run_subspace_method(
         else:
             proj = ldsp_fit(X, y, t.features, config)
         init = None
-        if model is not None:
+        if prev is not None:
             W, b = model.weights[:, :-1], model.weights[:, -1:]
             init = np.hstack([(W @ prev.matrix.T) @ proj.matrix, b])
+        elif calibration_model is not None:
+            W, b = calibration_model.weights[:, :-1], calibration_model.weights[:, -1]
+            init = np.hstack([W @ proj.matrix, (b + W @ proj.source_center)[:, None]])
         model = train_with_config(project(proj, X, "source"), y, clf_config, init_weights=init)
         prev = proj
         pred, conf = predict(model, project(proj, t.features, "target"))

@@ -14,17 +14,25 @@ the paper's plain gradient descent reaches the same model, only in far
 more iterations.
 
 Three things make a fit cheap without moving its optimum.  L-BFGS runs on
-centred features ``X - mu`` with biases ``b' = b + W mu``, an exact change
-of variables that leaves every logit as it was but removes the ill
-conditioning of features far from the origin (min-max data sits around
-0.5); the logits are computed from ``X`` itself, so a fit copies no
-feature matrix.  Every evaluation computes class-major (C, n) logits from
-a transposed view of ``X``, so the softmax reductions run along rows of
-samples, not along rows only C wide.  Callers that fit a sequence of
-related problems pass the previous model as ``init_weights``:
-self-training passes the model before it, and DRCA/LDSP pass the
-calibration model or the previous target's model, moved onto the new
-target's subspace (see ``adaptation``).
+centred features scaled to unit RMS, ``(X - mu) / s``, with weights
+``V = s W`` and biases ``b' = b + W mu``: an exact change of variables
+that leaves every logit as it was but removes the ill conditioning of
+features far from the origin (min-max data sits around 0.5) and of
+weights on another scale than the biases.  ``s`` is one scalar, so a
+rotation of the features still rotates the whole path.  The logits are
+computed from ``X`` itself, so a fit copies no feature matrix.  Every
+evaluation computes class-major (C, n) logits from a transposed view of
+``X``, so the softmax reductions run along rows of samples, not along rows
+only C wide.  Callers that fit a sequence of related problems pass the
+previous model as ``init_weights``: self-training passes the model before
+it, and DRCA/LDSP pass the calibration model or the previous target's
+model, moved onto the new target's subspace (see ``adaptation``).
+
+A fit stops when the 2-norm of the gradient with respect to the caller's
+``(W, b)`` drops to ``tol``.  That norm does not depend on the feature
+basis, so a fit on ``X R`` (``R`` orthogonal) stops where the fit on ``X``
+does, at weights ``W R``.  A fit whose loss has stopped moving at the
+floating-point floor stops too, and reports that it did not converge.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ logger = logging.getLogger(__name__)
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-20
 LBFGS_MEMORY = 10  # curvature pairs kept by the two-loop recursion
+STALL_STEPS = 50  # accepted steps in a row that leave the loss unchanged end a fit
 
 
 @dataclass(frozen=True)
@@ -103,23 +112,25 @@ def _kernel(
     params: np.ndarray,
     X: np.ndarray,
     center: np.ndarray,
+    scale: float,
     picks: np.ndarray,
     n_classes: int,
     reg_strength: float,
 ) -> tuple[float, np.ndarray]:
-    """Objective and gradient at the flat centred parameters ``(W, b')``.
+    """Objective and gradient at the flat scaled, centred parameters ``(V, b')``.
 
-    ``b' = b + W center`` are the biases of the centred features
-    ``X - center``.  The logits ``W (x - center) + b'`` equal ``W x + b``,
-    so they are computed from ``X`` itself, with no centred copy, and the
-    centring enters the gradient only as ``-g_b' centerᵀ`` on the weights.
-    Logits are class-major, ``W @ X.T`` of shape (C, n) through a
-    transposed view of ``X``, so the softmax reductions run over the short
-    class axis 0 across whole rows of samples.
+    ``V = scale W`` are the weights of the features ``(X - center) / scale``
+    and ``b' = b + W center`` their biases.  The logits
+    ``V (x - center) / scale + b'`` equal ``W x + b``, so they are computed
+    from ``X`` itself, with no centred or scaled copy: the centring enters
+    the gradient only as ``-g_b' centerᵀ`` on the weights, and the scale as
+    ``g_V = g_W / scale``.  Logits are class-major, ``W @ X.T`` of shape
+    (C, n) through a transposed view of ``X``, so the softmax reductions run
+    over the short class axis 0 across whole rows of samples.
     """
     n = X.shape[0]
     P = params.reshape(n_classes, -1)
-    W = P[:, :-1]
+    W = P[:, :-1] / scale
     Zt = W @ X.T
     Zt += (P[:, -1] - W @ center)[:, None]
     Zt -= Zt.max(axis=0)
@@ -135,6 +146,7 @@ def _kernel(
     g_b = E.sum(axis=1)
     g_W = E @ X
     g_W += (2.0 * reg_strength) * W - np.multiply.outer(g_b, center)
+    g_W /= scale
     return loss, np.hstack([g_W, g_b[:, None]]).ravel()
 
 
@@ -146,20 +158,26 @@ def objective_and_gradient(
     X = np.asarray(X, dtype=float)
     C = params.shape[0]
     n, k = X.shape
-    loss, grad = _kernel(params.ravel(), X, np.zeros(k), _label_picks(y_idx, n), C, reg_strength)
+    picks = _label_picks(y_idx, n)
+    loss, grad = _kernel(params.ravel(), X, np.zeros(k), 1.0, picks, C, reg_strength)
     return loss, grad.reshape(C, -1)
 
 
-def _uncentred_grad_norm(grad: np.ndarray, center: np.ndarray, n_classes: int) -> float:
-    """Infinity-norm of the gradient with respect to the uncentred ``(W, b)``.
+def _uncentred_grad_norm(
+    grad: np.ndarray, center: np.ndarray, scale: float, n_classes: int
+) -> float:
+    """2-norm of the gradient with respect to the caller's uncentred ``(W, b)``.
 
-    With ``b' = b + W center``, the chain rule gives ``g_W + g_b' centerᵀ``
-    for the weights and ``g_b'`` for the biases.
+    With ``V = scale W`` and ``b' = b + W center``, the chain rule gives
+    ``scale g_V + g_b' centerᵀ`` for the weights and ``g_b'`` for the
+    biases.  A rotation of the features, ``X R`` for orthogonal ``R``,
+    rotates the weight gradient to ``g_W R`` and keeps its 2-norm, so this
+    norm, unlike the largest entry, does not depend on the feature basis.
     """
     G = grad.reshape(n_classes, -1)
     g_b = G[:, -1]
-    g_W = G[:, :-1] + np.multiply.outer(g_b, center)
-    return max(float(np.abs(g_W).max()), float(np.abs(g_b).max()))
+    g_W = scale * G[:, :-1] + np.multiply.outer(g_b, center)
+    return float(np.sqrt(np.vdot(g_W, g_W) + np.vdot(g_b, g_b)))
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
@@ -186,8 +204,8 @@ def train(
     max_iter: int = 1000,
     init_weights: np.ndarray | None = None,
 ) -> LogRegModel:
-    """Fit by L-BFGS until the gradient infinity-norm drops to ``tol`` or
-    ``max_iter`` steps elapse (then warns).
+    """Fit by L-BFGS until the gradient's 2-norm drops to ``tol``, the loss
+    stalls, or ``max_iter`` steps elapse; a stop short of ``tol`` warns.
 
     The fit starts from zero weights, or from ``init_weights`` (a
     (C, k+1) matrix, e.g. an earlier model's ``weights``) when given; the
@@ -196,13 +214,18 @@ def train(
     loss term is a per-sample mean, so duplicating the training set leaves
     the optimization problem unchanged.
 
-    L-BFGS runs on the centred features ``X - mu`` (``mu`` the column
-    means) with biases ``b' = b + W mu``: the logits, and so every objective
-    value, are the same as for ``(W, b)`` on ``X``, but the problem is far
-    better conditioned when ``X`` sits away from the origin.  The stop test,
-    ``converged`` and the warning read the gradient with respect to the
-    uncentred ``(W, b)``, so ``tol`` keeps its meaning, and the returned
-    weights are the uncentred ``(W, b)``.
+    L-BFGS runs on the centred features scaled to unit RMS,
+    ``(X - mu) / s`` (``mu`` the column means, ``s`` the RMS of the centred
+    entries), with weights ``V = s W`` and biases ``b' = b + W mu``: the
+    logits, and so every objective value, are the same as for ``(W, b)`` on
+    ``X``, but the problem is far better conditioned when ``X`` sits away
+    from the origin or its scale is far from the biases'.  The stop test,
+    ``converged`` and the warning read the 2-norm of the gradient with
+    respect to the uncentred ``(W, b)``, so ``tol`` keeps its meaning in the
+    caller's terms and does not depend on the feature basis, and the
+    returned weights are the uncentred ``(W, b)``.  A fit whose last
+    ``STALL_STEPS`` accepted steps all left the loss where it was has
+    reached the floating-point floor before ``tol`` and stops there.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -232,18 +255,20 @@ def train(
         if not np.all(np.isfinite(params)):
             raise ValueError("init_weights must be finite")
     mu = X.mean(axis=0)
+    # s² = (mean of x·x - mu·mu) / k: the mean square of the centred entries, uncopied
+    scale = float(np.sqrt(max(np.vdot(X, X) / n - mu @ mu, 0.0) / k)) or 1.0
     picks = _label_picks(y_idx, n)
     params[:, -1] += params[:, :-1] @ mu
+    params[:, :-1] *= scale
     params = params.ravel()
 
-    loss, grad = _kernel(params, X, mu, picks, C, reg_strength)
+    loss, grad = _kernel(params, X, mu, scale, picks, C, reg_strength)
     trace = [loss]
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
-    converged = False
+    stalled = 0
     n_iter = 0
-    while n_iter < max_iter:
-        if _uncentred_grad_norm(grad, mu, C) <= tol:
-            converged = True
+    while n_iter < max_iter and stalled < STALL_STEPS:
+        if _uncentred_grad_norm(grad, mu, scale, C) <= tol:
             break
         direction = _lbfgs_direction(grad, pairs)
         slope = float(np.vdot(grad, direction))
@@ -253,7 +278,7 @@ def train(
         step = 1.0
         while step >= MIN_STEP:
             trial = params + step * direction
-            trial_loss, trial_grad = _kernel(trial, X, mu, picks, C, reg_strength)
+            trial_loss, trial_grad = _kernel(trial, X, mu, scale, picks, C, reg_strength)
             if trial_loss <= loss + ARMIJO_C * step * slope:
                 break
             step *= 0.5
@@ -264,20 +289,22 @@ def train(
         sy = float(np.vdot(s, g_diff))
         if sy > 0:
             pairs.append((s, g_diff, 1.0 / sy))
+        stalled = stalled + 1 if trial_loss >= loss else 0
         params, loss, grad = trial, trial_loss, trial_grad
         trace.append(loss)
         n_iter += 1
-    grad_norm = _uncentred_grad_norm(grad, mu, C)
-    if not converged and grad_norm <= tol:
-        converged = True
+    grad_norm = _uncentred_grad_norm(grad, mu, scale, C)
+    converged = grad_norm <= tol
     if not converged:
         logger.warning(
-            "optimizer stopped after %d iteration(s) with gradient norm %.3e > tol %.1e",
+            "optimizer stopped after %d iteration(s) with gradient norm %.3e > tol %.1e%s",
             n_iter,
             grad_norm,
             tol,
+            f": the loss stalled for {stalled} steps" if stalled >= STALL_STEPS else "",
         )
     weights = params.reshape(C, k + 1)
+    weights[:, :-1] /= scale
     weights[:, -1] -= weights[:, :-1] @ mu
     return LogRegModel(
         weights=weights,

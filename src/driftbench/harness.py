@@ -140,16 +140,15 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
 
     clf, st = cfg.classifier, cfg.selftrain
     # `none`, `means` and `selftrain` all start from the plain calibration
-    # fit; it is deterministic, so one fit serves all three, and it seeds the
-    # full-complement chain that `drca` and `ldsp` share (run_complement
-    # trains it when the chain needs it and none of the others runs).
+    # fit; it is deterministic, so one fit serves all three.  It also seeds
+    # the full-complement chain that `drca` and `ldsp` share, and their
+    # first eigen fits, so a run that takes the chain trains it here too.
+    full = any(m in cfg.methods and getattr(cfg, m).components == dataset.feature_dim - 1
+               for m in ("drca", "ldsp"))
     shared = None
-    if {"none", "means", "selftrain"} & set(cfg.methods):
+    if full or {"none", "means", "selftrain"} & set(cfg.methods):
         shared = train_calibration_model(calibration, clf)
-    complement = None
-    if any(m in cfg.methods and getattr(cfg, m).components == dataset.feature_dim - 1
-           for m in ("drca", "ldsp")):
-        complement = run_complement(calibration, targets, clf, shared)
+    complement = run_complement(calibration, targets, clf, shared) if full else None
     scored = [reference] + targets
     # The lambdas look each strategy up by its module-global name when they
     # run, so a tracer that swaps module attributes (perfbench/traced.py)
@@ -158,10 +157,10 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
         "none": lambda: run_no_adaptation(calibration, scored, clf, shared),
         "means": lambda: run_means_correction(calibration, scored, clf, shared),
         "drca": lambda: run_subspace_method(
-            calibration, scored, "drca", cfg.drca, clf, complement
+            calibration, scored, "drca", cfg.drca, clf, complement, shared
         ),
         "ldsp": lambda: run_subspace_method(
-            calibration, scored, "ldsp", cfg.ldsp, clf, complement
+            calibration, scored, "ldsp", cfg.ldsp, clf, complement, shared
         ),
         # A separate call for batch 1, so its pseudo-labels never enter the
         # pool that batches 2..N grow.

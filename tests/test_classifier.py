@@ -107,6 +107,38 @@ class TestTrain:
         assert model.n_iter == 3
         assert any("optimizer" in rec.message for rec in caplog.records)
 
+    def test_stalled_loss_ends_the_fit_unconverged(self, caplog):
+        # Features 10 away from the origin put the floor of the uncentred
+        # gradient far above tol 1e-14: the loss stops moving long before the
+        # gradient gets there, and the fit stops instead of running on.
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(50, 6)) + 10.0
+        y = rng.integers(0, 3, size=50)
+        y[:3] = [0, 1, 2]
+        with caplog.at_level("WARNING"):
+            model = train(X, y, reg_strength=1e-2, tol=1e-14, max_iter=1000)
+        assert not model.converged
+        assert model.n_iter < 200
+        assert any("loss stalled" in rec.message for rec in caplog.records)
+
+    def test_stop_test_does_not_depend_on_the_feature_basis(self):
+        # From zero, L-BFGS on X R (R orthogonal) takes the path of the fit
+        # on X rotated by R, so a basis-free stop test ends both at the same
+        # step.  The gradient's largest entry ends them a step apart on this
+        # seed, in unscaled variables and in the unit-RMS ones alike.
+        rng = np.random.default_rng(165)
+        y = np.arange(120) % 3
+        X = rng.normal(0.0, 1.0, (3, 8))[y] + rng.standard_normal((120, 8))
+        R, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        base = train(X, y, reg_strength=0.01)
+        rotated = train(X @ R, y, reg_strength=0.01)
+        assert base.converged and rotated.converged
+        assert rotated.n_iter == base.n_iter
+        np.testing.assert_allclose(
+            rotated.weights, np.hstack([base.weights[:, :-1] @ R, base.weights[:, -1:]]),
+            rtol=0, atol=1e-10,
+        )
+
     def test_uncentred_minmax_fit_converges_under_default_config(self):
         # The shape of the `none` fit on canonical data: 445 samples, 128
         # features scaled into [0, 1] (so far from centred) and 6 classes.
@@ -147,7 +179,7 @@ class TestTrain:
         assert model.converged
         y_idx = np.searchsorted(model.class_ids, y)
         _, grad = objective_and_gradient(model.weights, X, y_idx, config.reg_strength / len(y))
-        assert np.abs(grad).max() <= config.tol
+        assert np.linalg.norm(grad) <= config.tol
 
     def test_start_from_converged_weights_takes_no_step(self):
         rng = np.random.default_rng(11)

@@ -21,6 +21,8 @@ from driftbench.harness import (
 )
 from driftbench.preprocess import normalize_dataset
 
+from run import SYNTHETIC  # perfbench/run.py: the adapt-synthetic workload's config
+
 SYNTH_KEYS = {
     "synthetic.enabled": True,
     "synthetic.n_classes": 4,
@@ -90,6 +92,23 @@ class TestRunExperiment:
         report = run_experiment(synth_config(methods=method))
         assert len(calls) == fits
         assert sorted({b for _, b in report.grid}) == [1, 2, 3, 4, 5]
+
+    def test_adapt_synthetic_iterations_stay_low(self, monkeypatch):
+        # The benchmark's adapt-synthetic config at drift step 0.5 takes 166
+        # L-BFGS iterations over its 12 fits.  Unscaled weights, cold batch-1
+        # eigen fits and the largest-entry stop test together took 263.
+        iters = []
+        train = adaptation.train_with_config
+
+        def counting(*args, **kwargs):
+            model = train(*args, **kwargs)
+            iters.append(model.n_iter)
+            return model
+
+        monkeypatch.setattr(adaptation, "train_with_config", counting)
+        run_experiment(resolve_config({**SYNTHETIC, "synthetic.drift_step": 0.5}))
+        assert len(iters) == 12
+        assert sum(iters) <= 180
 
     def test_raw_batches_are_freed_before_the_split(self, monkeypatch):
         # The run rescales the loaded batches in place, so no raw batch
