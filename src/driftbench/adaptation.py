@@ -5,8 +5,12 @@ enter as :class:`TargetBatch`, which carries features and a batch id but no
 labels, so post-calibration ground truth is structurally out of reach here;
 evaluation reads it from the :class:`LabelStore` that the split produces.
 
+Every strategy takes the calibration model, the zero-start fit on the
+calibration batch (:func:`train_calibration_model`), which the caller trains
+once and passes to all of them; none of them trains it again.
+
 Strategies:
-  none       train once on calibration, apply unchanged.
+  none       apply the calibration model unchanged.
   means      center calibration and each target batch on their own means;
              the calibration model, shifted, is the centred fit.
   drca       per-target deflated weighted-covariance transform, then train
@@ -18,6 +22,9 @@ At full complement (components = D - 1) drca and ldsp coincide on every
 drifted target: the calibration fit with its weights kept orthogonal to the
 mean difference, with no eigenproblem and no projection, in one chain of
 fits (``run_complement``) that both share, seeded from the calibration model.
+Every other drca/ldsp target takes an eigen fit, and each eigen fit starts
+from one carried model on source-centred features: the calibration model
+first, then the last eigen fit's model lifted back to feature space.
 """
 
 from __future__ import annotations
@@ -109,67 +116,56 @@ class LabelStore:
 
 def strip_labels(batch: Batch) -> TargetBatch:
     """Drop labels, keeping only what an un-recalibrated deployment would see."""
-    return TargetBatch(batch.batch_id, batch.feature_matrix())
+    return TargetBatch(batch.batch_id, batch.features)
 
 
 def split_calibration(dataset: Dataset) -> tuple[Batch, list[TargetBatch], LabelStore]:
     """Split into (labeled calibration batch, label-free targets, label store)."""
     calibration = dataset.batch(1)
     targets = [strip_labels(dataset.batch(b)) for b in dataset.batch_ids if b != 1]
-    store = LabelStore({b: dataset.batch(b).label_vector() for b in dataset.batch_ids})
+    store = LabelStore({b: dataset.batch(b).labels for b in dataset.batch_ids})
     return calibration, targets, store
 
 
 def train_calibration_model(calibration: Batch, clf_config: ClassifierConfig) -> LogRegModel:
-    """The zero-start model on the calibration batch.
+    """The zero-start model on the calibration batch, which every strategy takes.
 
-    `none`, `means` and `selftrain` share it, and it seeds :func:`run_complement`'s chain
-    and the first eigen fit of :func:`run_subspace_method`.
+    `none`, `means` and `selftrain` use it as it is, and it seeds
+    :func:`run_complement`'s chain and the first eigen fit of
+    :func:`run_subspace_method`.
     """
-    return train_with_config(calibration.feature_matrix(), calibration.label_vector(), clf_config)
+    return train_with_config(calibration.features, calibration.labels, clf_config)
 
 
 def run_no_adaptation(
-    calibration: Batch,
-    targets: Sequence[TargetBatch],
-    clf_config: ClassifierConfig,
-    calibration_model: LogRegModel | None = None,
+    targets: Sequence[TargetBatch], calibration_model: LogRegModel
 ) -> list[PredictionSet]:
-    """Apply the calibration model (trained here if not given) to each target."""
-    model = calibration_model
-    if model is None:
-        model = train_calibration_model(calibration, clf_config)
+    """Apply the calibration model to each target."""
     out = []
     for t in targets:
-        pred, conf = predict(model, t.features)
+        pred, conf = predict(calibration_model, t.features)
         out.append(PredictionSet("none", t.batch_id, pred, conf))
     return out
 
 
 def run_means_correction(
-    calibration: Batch,
-    targets: Sequence[TargetBatch],
-    clf_config: ClassifierConfig,
-    calibration_model: LogRegModel | None = None,
+    calibration: Batch, targets: Sequence[TargetBatch], calibration_model: LogRegModel
 ) -> list[PredictionSet]:
     """Center calibration and every target batch on their own means.
 
     The fit on the centred calibration batch is the calibration model
-    ``(W, b)`` (trained here if not given) with biases ``b + W mu_s``: the
-    logits of ``x - mu_s`` are unchanged, and the optimum does not depend on
-    a shift of the features.  So the model is shifted, not refitted, and the
-    target's own centring moves into its biases too: ``x - mu_t`` scores as
-    ``x`` does under biases ``b + W (mu_s - mu_t)``, with no centred copy.
+    ``(W, b)`` with biases ``b + W mu_s``: the logits of ``x - mu_s`` are
+    unchanged, and the optimum does not depend on a shift of the features.
+    So the model is shifted, not refitted, and the target's own centring
+    moves into its biases too: ``x - mu_t`` scores as ``x`` does under biases
+    ``b + W (mu_s - mu_t)``, with no centred copy.
     """
-    model = calibration_model
-    if model is None:
-        model = train_calibration_model(calibration, clf_config)
-    W, b = model.weights[:, :-1], model.weights[:, -1:]
-    mu_s = calibration.feature_matrix().mean(axis=0)
+    W, b = calibration_model.weights[:, :-1], calibration_model.weights[:, -1:]
+    mu_s = calibration.features.mean(axis=0)
     out = []
     for t in targets:
         shift = W @ (mu_s - t.features.mean(axis=0))
-        shifted = replace(model, weights=np.hstack([W, b + shift[:, None]]))
+        shifted = replace(calibration_model, weights=np.hstack([W, b + shift[:, None]]))
         pred, conf = predict(shifted, t.features)
         out.append(PredictionSet("means", t.batch_id, pred, conf))
     return out
@@ -179,7 +175,7 @@ def run_complement(
     calibration: Batch,
     targets: Sequence[TargetBatch],
     clf_config: ClassifierConfig,
-    calibration_model: LogRegModel | None = None,
+    calibration_model: LogRegModel,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The full-complement chain that DRCA and LDSP share at ``components`` = D - 1.
 
@@ -194,13 +190,12 @@ def run_complement(
     alone, and the target is predicted as it is.  Returns
     ``{batch_id: (predicted, confidence)}``.
 
-    The first fit starts from the calibration model (trained here if not
-    given), every later fit from the model before it, both as
-    ``[W - (W u) uᵀ, b + (W u)(u · mu_s)]``, which keeps the logits at
-    ``mu_s``.  The optimum does not depend on the start.
+    The first fit starts from the calibration model, every later fit from
+    the model before it, both as ``[W - (W u) uᵀ, b + (W u)(u · mu_s)]``,
+    which keeps the logits at ``mu_s``.  The optimum does not depend on the
+    start.
     """
-    X = calibration.feature_matrix()
-    y = calibration.label_vector()
+    X, y = calibration.features, calibration.labels
     mu_s = X.mean(axis=0)
     out = {}
     model = calibration_model
@@ -210,8 +205,6 @@ def run_complement(
         if norm <= deflation_threshold(X.shape[1]):
             continue
         u = d / norm
-        if model is None:
-            model = train_calibration_model(calibration, clf_config)
         W, b = model.weights[:, :-1], model.weights[:, -1]
         Wu = W @ u
         init = np.hstack([W - np.outer(Wu, u), (b + Wu * (u @ mu_s))[:, None]])
@@ -226,8 +219,8 @@ def run_subspace_method(
     method: str,
     config: DrcaConfig | LdspConfig,
     clf_config: ClassifierConfig,
-    complement: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-    calibration_model: LogRegModel | None = None,
+    calibration_model: LogRegModel,
+    complement: dict[int, tuple[np.ndarray, np.ndarray]],
 ) -> list[PredictionSet]:
     """Fit one transform and one classifier per target batch.
 
@@ -236,30 +229,28 @@ def run_subspace_method(
     projected target is predicted.  At ``components`` = D - 1 a target whose
     mean differs from the calibration mean (above ``deflation_threshold``)
     keeps the whole complement of the mean difference, so the method and its
-    weights cannot move it: its predictions come from :func:`run_complement`'s
-    chain, which DRCA and LDSP share.  A caller that runs both passes that
-    chain as ``complement``; without it this call builds its own.  Every
-    other target, such as a reference row equal to the calibration batch,
-    and every smaller ``components`` take ``drca_fit`` or ``ldsp_fit``; each
-    such fit after the first starts from the one before it, carried through
-    feature space: weights ``W_prev M_prevᵀ M_new`` (``M`` the projection
-    matrix) and the same biases, since ``project`` centres each domain on
-    its own mean.  The first starts from ``calibration_model`` when given,
-    carried the same way with ``M_prev = I``: weights ``W M`` and biases
-    ``b + W mu_s``, which keep its logits on the projected calibration data
-    where ``M Mᵀ`` keeps the features; without it, from zero.  The optimum
-    does not depend on the start.
+    weights cannot move it: its predictions come from ``complement``,
+    :func:`run_complement`'s chain, which DRCA and LDSP share.  An empty
+    ``complement`` sends every target through the eigen path, as does every
+    smaller ``components``, which ignores it.
+
+    Each eigen fit (``drca_fit`` or ``ldsp_fit``, then a classifier fit)
+    starts from one carried model ``(W_c, b_c)`` on source-centred features.
+    It starts as the calibration model ``(W, b)`` shifted to ``(W, b + W
+    mu_s)``.  A fit with projection matrix ``M`` starts from ``[W_c M,
+    b_c]``, which keeps the carried logits where ``M Mᵀ`` keeps the
+    features, since ``project`` centres each domain on its own mean; its
+    model ``(W_new, b_new)`` is then carried on as ``(W_new Mᵀ, b_new)``.
+    The optimum does not depend on the start.
     """
     if method not in ("drca", "ldsp"):
         raise ValueError(f"method must be 'drca' or 'ldsp', got '{method}'")
-    X = calibration.feature_matrix()
-    y = calibration.label_vector()
+    X, y = calibration.features, calibration.labels
     if config.components != X.shape[1] - 1:
         complement = {}
-    elif complement is None:
-        complement = run_complement(calibration, targets, clf_config)
+    W, b = calibration_model.weights[:, :-1], calibration_model.weights[:, -1]
+    carried = W, b + W @ X.mean(axis=0)
     out = []
-    model = prev = None
     for t in targets:
         if t.batch_id in complement:
             out.append(PredictionSet(method, t.batch_id, *complement[t.batch_id]))
@@ -268,15 +259,10 @@ def run_subspace_method(
             proj = drca_fit(X, t.features, config)
         else:
             proj = ldsp_fit(X, y, t.features, config)
-        init = None
-        if prev is not None:
-            W, b = model.weights[:, :-1], model.weights[:, -1:]
-            init = np.hstack([(W @ prev.matrix.T) @ proj.matrix, b])
-        elif calibration_model is not None:
-            W, b = calibration_model.weights[:, :-1], calibration_model.weights[:, -1]
-            init = np.hstack([W @ proj.matrix, (b + W @ proj.source_center)[:, None]])
+        W, b = carried
+        init = np.hstack([W @ proj.matrix, b[:, None]])
         model = train_with_config(project(proj, X, "source"), y, clf_config, init_weights=init)
-        prev = proj
+        carried = model.weights[:, :-1] @ proj.matrix.T, model.weights[:, -1]
         pred, conf = predict(model, project(proj, t.features, "target"))
         out.append(PredictionSet(method, t.batch_id, pred, conf))
     return out
@@ -287,8 +273,8 @@ def run_self_training(
     targets: Sequence[TargetBatch],
     st_config: SelfTrainConfig,
     clf_config: ClassifierConfig,
+    calibration_model: LogRegModel,
     trace: list | None = None,
-    calibration_model: LogRegModel | None = None,
 ) -> list[PredictionSet]:
     """Confidence-gated pseudo-labeling, batches processed in ascending order.
 
@@ -298,15 +284,13 @@ def run_self_training(
     nothing.  The last trained model provides the recorded predictions.
     Added points keep their first pseudo-label permanently.  In cumulative
     mode the pool carries across batches; otherwise it resets to the
-    calibration data for every batch.  Every fit after the first starts from
-    the weights of the model trained before it: the pool changes little
-    between fits, and the optimum does not depend on the start.  A given
-    ``calibration_model`` stands in for the first fit, which is the
-    zero-start fit on the calibration batch alone.
+    calibration data for every batch.  The first round uses the calibration
+    model, the fit on the calibration batch alone; every later round's fit
+    starts from the weights of the model before it: the pool changes little
+    between fits, and the optimum does not depend on the start.
     """
     ordered = sorted(targets, key=lambda t: t.batch_id)
-    X0 = calibration.feature_matrix()
-    y0 = calibration.label_vector()
+    X0, y0 = calibration.features, calibration.labels
     pool_X = [X0]
     pool_y = [y0]
     out = []
@@ -319,14 +303,14 @@ def run_self_training(
         pred = conf = None
         rounds = 0
         for _ in range(st_config.max_rounds):
-            if model is None and calibration_model is not None:
+            if model is None:
                 model = calibration_model
             else:
                 model = train_with_config(
                     np.vstack(pool_X),
                     np.concatenate(pool_y),
                     clf_config,
-                    init_weights=None if model is None else model.weights,
+                    init_weights=model.weights,
                 )
             pred, conf = predict(model, t.features)
             rounds += 1

@@ -99,7 +99,7 @@ def _cmd_normalize(args) -> int:
     if args.stats or not args.out:
         print(f"{'batch':>5}  {'min':>14}  {'max':>14}")
         for bid in normalized.batch_ids:
-            X = normalized.batch(bid).feature_matrix()
+            X = normalized.batch(bid).features
             print(f"{bid:>5}  {X.min():>14.4f}  {X.max():>14.4f}")
     return 0
 

@@ -104,13 +104,6 @@ class Batch:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def feature_matrix(self) -> np.ndarray:
-        """The (n, D) feature array itself (read-only, no copy)."""
-        return self.features
-
-    def label_vector(self) -> np.ndarray:
-        return self.labels
-
 
 @dataclass(frozen=True)
 class Dataset:

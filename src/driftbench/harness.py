@@ -139,34 +139,30 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     reference = strip_labels(dataset.batch(REFERENCE_BATCH_ID))
 
     clf, st = cfg.classifier, cfg.selftrain
-    # `none`, `means` and `selftrain` all start from the plain calibration
-    # fit; it is deterministic, so one fit serves all three.  It also seeds
-    # the full-complement chain that `drca` and `ldsp` share, and their
-    # first eigen fits, so a run that takes the chain trains it here too.
+    # Every strategy takes the plain calibration fit; it is deterministic,
+    # so one fit serves all of them and the chain that `drca` and `ldsp` share.
+    shared = train_calibration_model(calibration, clf)
     full = any(m in cfg.methods and getattr(cfg, m).components == dataset.feature_dim - 1
                for m in ("drca", "ldsp"))
-    shared = None
-    if full or {"none", "means", "selftrain"} & set(cfg.methods):
-        shared = train_calibration_model(calibration, clf)
-    complement = run_complement(calibration, targets, clf, shared) if full else None
+    complement = run_complement(calibration, targets, clf, shared) if full else {}
     scored = [reference] + targets
     # The lambdas look each strategy up by its module-global name when they
     # run, so a tracer that swaps module attributes (perfbench/traced.py)
     # sees every call.
     strategies = {
-        "none": lambda: run_no_adaptation(calibration, scored, clf, shared),
-        "means": lambda: run_means_correction(calibration, scored, clf, shared),
+        "none": lambda: run_no_adaptation(scored, shared),
+        "means": lambda: run_means_correction(calibration, scored, shared),
         "drca": lambda: run_subspace_method(
-            calibration, scored, "drca", cfg.drca, clf, complement, shared
+            calibration, scored, "drca", cfg.drca, clf, shared, complement
         ),
         "ldsp": lambda: run_subspace_method(
-            calibration, scored, "ldsp", cfg.ldsp, clf, complement, shared
+            calibration, scored, "ldsp", cfg.ldsp, clf, shared, complement
         ),
         # A separate call for batch 1, so its pseudo-labels never enter the
         # pool that batches 2..N grow.
         "selftrain": lambda: (
-            run_self_training(calibration, [reference], st, clf, calibration_model=shared)
-            + run_self_training(calibration, targets, st, clf, calibration_model=shared)
+            run_self_training(calibration, [reference], st, clf, shared)
+            + run_self_training(calibration, targets, st, clf, shared)
         ),
     }
     grid = {}
@@ -266,16 +262,16 @@ def projection_rows(dataset: Dataset, which: str) -> list[tuple]:
     rows = []
     fixed = None
     if which == "pca":
-        fixed = pca_fit(dataset.batch(1).feature_matrix(), 2)
+        fixed = pca_fit(dataset.batch(1).features, 2)
     elif which == "lda":
         b1 = dataset.batch(1)
-        fixed = lda_fit(b1.feature_matrix(), b1.label_vector(), 2)
+        fixed = lda_fit(b1.features, b1.labels, 2)
     for bid in dataset.batch_ids:
         batch = dataset.batch(bid)
         proj = fixed
         if proj is None:
-            proj = lda_fit(batch.feature_matrix(), batch.label_vector(), 2)
-        XY = project(proj, batch.feature_matrix(), "source")
+            proj = lda_fit(batch.features, batch.labels, 2)
+        XY = project(proj, batch.features, "source")
         for label, point in zip(batch.labels.tolist(), XY):
             x, y = float(point[0]), float(point[1])
             clipped = int(abs(x) >= PROJECTION_PLOT_LIMIT or abs(y) >= PROJECTION_PLOT_LIMIT)

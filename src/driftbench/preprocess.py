@@ -38,7 +38,7 @@ def fit_minmax(calibration: Batch) -> NormalizationParams:
     """Learn exact per-feature extrema from the calibration batch."""
     if len(calibration) == 0:
         raise ValueError("cannot fit normalization on an empty batch")
-    X = calibration.feature_matrix()
+    X = calibration.features
     return NormalizationParams(X.min(axis=0), X.max(axis=0))
 
 

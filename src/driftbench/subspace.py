@@ -200,11 +200,8 @@ def lda_fit(samples: np.ndarray, labels, k: int) -> LinearProjection:
     # S_b v = eta B v becomes (L^-1 S_b L^-T) u = eta u and v = L^-T u.
     L = np.linalg.cholesky(B)
     C = np.linalg.solve(L, np.linalg.solve(L, s_b).T)
-    vals, vecs = np.linalg.eigh(0.5 * (C + C.T))
+    vals, vecs = _sorted_eig(0.5 * (C + C.T), k)
     vecs = np.linalg.solve(L.T, vecs)
-    order = np.argsort(-vals, kind="stable")
-    vecs = vecs[:, order[:k]]
-    vals = vals[order[:k]]
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     W = _fix_column_signs(vecs)
     mean = X.mean(axis=0)

@@ -14,7 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from driftbench.adaptation import split_calibration, run_means_correction, run_no_adaptation
+from driftbench import adaptation
+from driftbench.adaptation import (
+    run_means_correction,
+    run_no_adaptation,
+    run_subspace_method,
+    split_calibration,
+    train_calibration_model,
+)
 from driftbench.classifier import ClassifierConfig, objective, objective_and_gradient
 from driftbench.config import resolve_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset
@@ -30,7 +37,6 @@ from driftbench.subspace import (
     ldsp_fit,
     scatter_matrices,
 )
-from driftbench.adaptation import run_subspace_method
 
 from oracles import (
     confusion_accuracy,
@@ -75,7 +81,7 @@ class TestCanonical:
         assert counts == CANONICAL_BATCH_COUNTS
         assert dataset.n_samples == TOTAL_COUNT
         for b in dataset.batch_ids:
-            labels = dataset.batch(b).label_vector()
+            labels = dataset.batch(b).labels
             assert set(np.unique(labels)) <= {1, 2, 3, 4, 5, 6}
         assert elapsed < 5.0, f"load took {elapsed:.2f}s"
         report_pass(1, f"counts match, total {TOTAL_COUNT}, load {elapsed:.2f}s")
@@ -84,8 +90,8 @@ class TestCanonical:
         dataset, _ = canonical_dataset
         start = time.perf_counter()
         params = fit_minmax(dataset.batch(1))
-        b1 = apply_minmax_matrix(params, dataset.batch(1).feature_matrix())
-        b2 = apply_minmax_matrix(params, dataset.batch(2).feature_matrix())
+        b1 = apply_minmax_matrix(params, dataset.batch(1).features)
+        b2 = apply_minmax_matrix(params, dataset.batch(2).features)
         elapsed = time.perf_counter() - start
         assert b1.min() >= 0.0 and b1.max() <= 1.0
         assert b2.min() <= -57.0, f"batch-2 minimum {b2.min():.1f}"
@@ -230,8 +236,21 @@ class TestProperties:
             assert abs(macro_f1(p, a) - confusion_macro_f1(list(p), list(a))) <= 1e-12
         report_pass("7d", "accuracy/macro-F1 match the confusion-matrix oracle on 1000 pairs")
 
-    def test_c7e_ldsp_degenerates_to_drca_10_datasets(self):
+    def test_c7e_ldsp_degenerates_to_drca_10_datasets(self, monkeypatch):
+        # An empty chain sends every target through each method's own eigen
+        # fit, so the two methods are compared, not the chain they share.
         clf = ClassifierConfig(max_iter=200, tol=1e-5)
+        fits = []
+
+        def counted(fit):
+            def wrapper(*args):
+                fits.append(fit.__name__)
+                return fit(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(adaptation, "drca_fit", counted(drca_fit))
+        monkeypatch.setattr(adaptation, "ldsp_fit", counted(ldsp_fit))
         for seed in range(10):
             ds = generate_synthetic(
                 SyntheticConfig(
@@ -239,10 +258,14 @@ class TestProperties:
                 )
             )
             cal, targets, _ = split_calibration(ds)
-            drca = run_subspace_method(cal, targets, "drca", DrcaConfig(0.1, 7), clf)
-            ldsp = run_subspace_method(cal, targets, "ldsp", LdspConfig(0.1, 0.0, 0.0, 7), clf)
+            model = train_calibration_model(cal, clf)
+            drca = run_subspace_method(cal, targets, "drca", DrcaConfig(0.1, 7), clf, model, {})
+            ldsp = run_subspace_method(
+                cal, targets, "ldsp", LdspConfig(0.1, 0.0, 0.0, 7), clf, model, {}
+            )
             for x, z in zip(drca, ldsp):
                 assert np.array_equal(x.predicted, z.predicted)
+        assert fits.count("drca_fit") == fits.count("ldsp_fit") == 10 * 2
         report_pass("7e", "LDSP with zero scatter weights predicts identically to DRCA")
 
     def test_c7f_means_correction_restores_translation_drift(self):
@@ -254,11 +277,11 @@ class TestProperties:
         cal_s, targets_s, store_s = split_calibration(still)
         corrected = [
             accuracy(p.predicted, store_d.labels_for(p.batch_id))
-            for p in run_means_correction(cal_d, targets_d, clf)
+            for p in run_means_correction(cal_d, targets_d, train_calibration_model(cal_d, clf))
         ]
         reference = [
             accuracy(p.predicted, store_s.labels_for(p.batch_id))
-            for p in run_no_adaptation(cal_s, targets_s, clf)
+            for p in run_no_adaptation(targets_s, train_calibration_model(cal_s, clf))
         ]
         gap = np.abs(np.array(corrected) - np.array(reference)).max()
         assert gap <= 0.01, f"worst per-batch gap {gap:.4f}"

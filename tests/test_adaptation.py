@@ -13,6 +13,7 @@ from driftbench.adaptation import (
     run_subspace_method,
     split_calibration,
     strip_labels,
+    train_calibration_model,
 )
 from driftbench.classifier import ClassifierConfig, predict, train_with_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
@@ -50,18 +51,20 @@ class TestGuard:
 class TestNoAdaptation:
     def test_calibration_as_target_equals_training_accuracy(self, small_synth):
         cal, _, store = split_calibration(small_synth)
-        ps = run_no_adaptation(cal, [strip_labels(cal)], CLF)
-        model = train_with_config(cal.feature_matrix(), cal.label_vector(), CLF)
-        direct, _ = predict(model, cal.feature_matrix())
+        model = train_with_config(cal.features, cal.labels, CLF)
+        ps = run_no_adaptation([strip_labels(cal)], train_calibration_model(cal, CLF))
+        direct, _ = predict(model, cal.features)
         assert np.array_equal(ps[0].predicted, direct)
-        assert batch_accuracies(ps, store)[0] == accuracy(direct, cal.label_vector())
+        assert batch_accuracies(ps, store)[0] == accuracy(direct, cal.labels)
 
     def test_zero_drift_accuracy_is_flat(self):
         ds = generate_synthetic(
             SyntheticConfig(n_classes=4, dim=10, per_class=40, n_batches=5, drift_step=0.0, seed=17)
         )
         cal, targets, store = split_calibration(ds)
-        accs = batch_accuracies(run_no_adaptation(cal, targets, CLF), store)
+        accs = batch_accuracies(
+            run_no_adaptation(targets, train_calibration_model(cal, CLF)), store
+        )
         assert max(accs) - min(accs) <= 0.05
 
     def test_drift_degrades_late_batches(self):
@@ -69,7 +72,9 @@ class TestNoAdaptation:
             SyntheticConfig(n_classes=4, dim=10, per_class=40, n_batches=6, drift_step=1.5, seed=17)
         )
         cal, targets, store = split_calibration(ds)
-        accs = batch_accuracies(run_no_adaptation(cal, targets, CLF), store)
+        accs = batch_accuracies(
+            run_no_adaptation(targets, train_calibration_model(cal, CLF)), store
+        )
         assert accs[-1] < accs[0] - 0.1
 
 
@@ -77,8 +82,12 @@ class TestMeansCorrection:
     def test_calibration_as_target_matches_centered_no_adaptation(self, small_synth):
         cal, _, store = split_calibration(small_synth)
         centered_cal = replace(cal, features=cal.features - cal.features.mean(axis=0))
-        via_means = run_means_correction(cal, [strip_labels(cal)], CLF)
-        via_none = run_no_adaptation(centered_cal, [strip_labels(centered_cal)], CLF)
+        via_means = run_means_correction(
+            cal, [strip_labels(cal)], train_calibration_model(cal, CLF)
+        )
+        via_none = run_no_adaptation(
+            [strip_labels(centered_cal)], train_calibration_model(centered_cal, CLF)
+        )
         assert np.array_equal(via_means[0].predicted, via_none[0].predicted)
 
     def test_pure_translation_drift_fully_recovered(self):
@@ -87,11 +96,13 @@ class TestMeansCorrection:
         still = generate_synthetic(SyntheticConfig(drift_step=0.0, **base))
         cal_d, targets_d, store_d = split_calibration(drifted)
         cal_s, targets_s, store_s = split_calibration(still)
-        acc_drifted = batch_accuracies(run_means_correction(cal_d, targets_d, CLF), store_d)
-        acc_still = batch_accuracies(run_means_correction(cal_s, targets_s, CLF), store_s)
+        model_d = train_calibration_model(cal_d, CLF)
+        model_s = train_calibration_model(cal_s, CLF)
+        acc_drifted = batch_accuracies(run_means_correction(cal_d, targets_d, model_d), store_d)
+        acc_still = batch_accuracies(run_means_correction(cal_s, targets_s, model_s), store_s)
         assert np.allclose(acc_drifted, acc_still, atol=1e-12)
         # and centering restores what no-adaptation achieves without drift
-        acc_none_still = batch_accuracies(run_no_adaptation(cal_s, targets_s, CLF), store_s)
+        acc_none_still = batch_accuracies(run_no_adaptation(targets_s, model_s), store_s)
         assert np.abs(np.array(acc_drifted) - np.array(acc_none_still)).max() <= 0.01
 
 
@@ -99,22 +110,25 @@ class TestSubspaceRuns:
     def test_calibration_as_target_close_to_training_accuracy(self, small_synth):
         cal, _, store = split_calibration(small_synth)
         dim = small_synth.feature_dim
+        model = train_calibration_model(cal, CLF)
         ps = run_subspace_method(
-            cal, [strip_labels(cal)], "drca", DrcaConfig(components=dim - 1), CLF
+            cal, [strip_labels(cal)], "drca", DrcaConfig(components=dim - 1), CLF, model, {}
         )
-        none = run_no_adaptation(cal, [strip_labels(cal)], CLF)
+        none = run_no_adaptation([strip_labels(cal)], model)
         acc_drca = batch_accuracies(ps, store)[0]
         acc_none = batch_accuracies(none, store)[0]
         assert abs(acc_drca - acc_none) <= 0.05
 
     def test_ldsp_zero_weights_predicts_identically_to_drca(self, small_synth):
+        # An empty chain sends every target through each method's own eigen fit.
         cal, targets, _ = split_calibration(small_synth)
         dim = small_synth.feature_dim
+        model = train_calibration_model(cal, CLF)
         drca = run_subspace_method(
-            cal, targets, "drca", DrcaConfig(0.1, dim - 1), CLF
+            cal, targets, "drca", DrcaConfig(0.1, dim - 1), CLF, model, {}
         )
         ldsp = run_subspace_method(
-            cal, targets, "ldsp", LdspConfig(0.1, 0.0, 0.0, dim - 1), CLF
+            cal, targets, "ldsp", LdspConfig(0.1, 0.0, 0.0, dim - 1), CLF, model, {}
         )
         for a, b in zip(drca, ldsp):
             assert np.array_equal(a.predicted, b.predicted)
@@ -140,33 +154,20 @@ class TestSubspaceRuns:
         for b in range(2, 6):
             assert both[("ldsp", b)] == both[("drca", b)] == alone[("ldsp", b)]
 
-    def test_five_argument_call_predicts_like_the_shared_chain(self, small_synth):
-        # run_experiment passes one chain, seeded from the shared calibration
-        # model, to both methods; a call without it builds the same chain.
-        cal, targets, _ = split_calibration(normalize_dataset(small_synth))
-        scored = [strip_labels(cal)] + targets
-        k = small_synth.feature_dim - 1
-        chain = run_complement(cal, targets, CLF, adaptation.train_calibration_model(cal, CLF))
-        assert sorted(chain) == [t.batch_id for t in targets]
-        configs = {"drca": DrcaConfig(0.3, k), "ldsp": LdspConfig(0.3, 5.0, 50.0, k)}
-        for method, config in configs.items():
-            alone = run_subspace_method(cal, scored, method, config, CLF)
-            shared = run_subspace_method(cal, scored, method, config, CLF, chain)
-            for a, b in zip(alone, shared):
-                assert (a.method, a.batch_id) == (b.method, b.batch_id)
-                assert np.array_equal(a.predicted, b.predicted)
-                assert np.array_equal(a.confidence, b.confidence)
-
     def test_drca_and_ldsp_differ_below_full_rank(self, small_synth):
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
-        drca = run_subspace_method(cal, targets, "drca", DrcaConfig(0.1, 2), CLF)
-        ldsp = run_subspace_method(cal, targets, "ldsp", LdspConfig(0.1, 10.0, 100.0, 2), CLF)
+        model = train_calibration_model(cal, CLF)
+        drca = run_subspace_method(cal, targets, "drca", DrcaConfig(0.1, 2), CLF, model, {})
+        ldsp = run_subspace_method(
+            cal, targets, "ldsp", LdspConfig(0.1, 10.0, 100.0, 2), CLF, model, {}
+        )
         assert any(not np.array_equal(a.predicted, b.predicted) for a, b in zip(drca, ldsp))
 
     def test_unknown_method_rejected(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
+        model = train_calibration_model(cal, CLF)
         with pytest.raises(ValueError, match="method"):
-            run_subspace_method(cal, targets, "pca", DrcaConfig(components=2), CLF)
+            run_subspace_method(cal, targets, "pca", DrcaConfig(components=2), CLF, model, {})
 
     @pytest.mark.parametrize("method", ["drca", "ldsp"])
     def test_warm_start_keeps_predictions_and_saves_iterations(
@@ -187,7 +188,9 @@ class TestSubspaceRuns:
                 return model
 
             monkeypatch.setattr(adaptation, "train_with_config", counted)
-            return run_subspace_method(cal, targets, method, proj_config, CLF), iters
+            model = train_calibration_model(cal, CLF)
+            chain = run_complement(cal, targets, CLF, model)
+            return run_subspace_method(cal, targets, method, proj_config, CLF, model, chain), iters
 
         warm, warm_iters = run(cold=False)
         cold, cold_iters = run(cold=True)
@@ -206,11 +209,14 @@ class TestSubspaceRuns:
         self, small_synth, monkeypatch, method, below_full
     ):
         # batch 1 as its own target has no mean difference, so it still needs
-        # the eigenproblem; drifted targets skip it only at k = D - 1
+        # the eigenproblem; drifted targets skip it only at k = D - 1, and a
+        # smaller k ignores the chain
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         scored = [strip_labels(cal)] + targets
         k = small_synth.feature_dim - 1 - below_full
         proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
+        model = train_calibration_model(cal, CLF)
+        chain = run_complement(cal, targets, CLF, model)
         calls = {"drca": 0, "ldsp": 0}
 
         def counted(name, fit):
@@ -222,7 +228,7 @@ class TestSubspaceRuns:
 
         monkeypatch.setattr(adaptation, "drca_fit", counted("drca", drca_fit))
         monkeypatch.setattr(adaptation, "ldsp_fit", counted("ldsp", ldsp_fit))
-        run_subspace_method(cal, scored, method, proj_config, CLF)
+        run_subspace_method(cal, scored, method, proj_config, CLF, model, chain)
         other = "ldsp" if method == "drca" else "drca"
         assert calls[other] == 0
         assert calls[method] == (len(scored) if below_full else 1)
@@ -233,8 +239,10 @@ class TestSubspaceRuns:
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         k = small_synth.feature_dim - 1
         proj_config = DrcaConfig(components=k) if method == "drca" else LdspConfig(components=k)
-        complement = run_subspace_method(cal, targets, method, proj_config, CLF)
-        eigen_path = run_subspace_method(cal, targets, method, proj_config, CLF, complement={})
+        model = train_calibration_model(cal, CLF)
+        chain = run_complement(cal, targets, CLF, model)
+        complement = run_subspace_method(cal, targets, method, proj_config, CLF, model, chain)
+        eigen_path = run_subspace_method(cal, targets, method, proj_config, CLF, model, {})
         assert len(complement) == len(eigen_path) == len(targets)
         for a, b in zip(complement, eigen_path):
             assert a.batch_id == b.batch_id
@@ -244,6 +252,7 @@ class TestSubspaceRuns:
     def test_chain_weights_stay_orthogonal_to_the_mean_difference(self, small_synth, monkeypatch):
         cal, targets, _ = split_calibration(normalize_dataset(small_synth))
         mu_s = cal.features.mean(axis=0)
+        model = train_calibration_model(cal, CLF)
         models = []
 
         def spying(X, y, config, init_weights=None):
@@ -252,11 +261,11 @@ class TestSubspaceRuns:
             return model
 
         monkeypatch.setattr(adaptation, "train_with_config", spying)
-        chain = run_complement(cal, targets, CLF)
-        # the calibration fit, then one per target
+        chain = run_complement(cal, targets, CLF, model)
+        # one fit per target
         assert sorted(chain) == [t.batch_id for t in targets]
-        assert len(models) == 1 + len(targets)
-        for t, model in zip(targets, models[1:]):
+        assert len(models) == len(targets)
+        for t, model in zip(targets, models):
             d = mu_s - t.features.mean(axis=0)
             W = model.weights[:, :-1]
             assert np.linalg.norm(W @ (d / np.linalg.norm(d))) <= 1e-12 * np.linalg.norm(W)
@@ -267,11 +276,12 @@ class TestSelfTraining:
         cal, targets, _ = split_calibration(small_synth)
         heavy_reg = ClassifierConfig(reg_strength=5.0, max_iter=500, tol=1e-7)
         trace = []
+        model = train_calibration_model(cal, heavy_reg)
         st = run_self_training(
-            cal, targets, SelfTrainConfig(threshold=1.0, max_rounds=5), heavy_reg,
+            cal, targets, SelfTrainConfig(threshold=1.0, max_rounds=5), heavy_reg, model,
             trace=trace,
         )
-        none = run_no_adaptation(cal, targets, heavy_reg)
+        none = run_no_adaptation(targets, model)
         assert all(p.confidence.max() < 1.0 for p in st)
         assert all(t["n_added"] == 0 and t["rounds"] == 1 for t in trace)
         for a, b in zip(st, none):
@@ -279,15 +289,17 @@ class TestSelfTraining:
 
     def test_single_round_non_cumulative_equals_no_adaptation(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
+        model = train_calibration_model(cal, CLF)
         trace = []
         st = run_self_training(
             cal,
             targets,
             SelfTrainConfig(threshold=0.9, max_rounds=1, cumulative=False),
             CLF,
+            model,
             trace=trace,
         )
-        none = run_no_adaptation(cal, targets, CLF)
+        none = run_no_adaptation(targets, model)
         assert all(t["rounds"] == 1 for t in trace)
         for a, b in zip(st, none):
             assert np.array_equal(a.predicted, b.predicted)
@@ -300,6 +312,7 @@ class TestSelfTraining:
             targets,
             SelfTrainConfig(threshold=0.8, max_rounds=6, cumulative=True),
             CLF,
+            train_calibration_model(cal, CLF),
             trace=trace,
         )
         pool = len(cal)
@@ -316,6 +329,7 @@ class TestSelfTraining:
             targets,
             SelfTrainConfig(threshold=0.8, max_rounds=6, cumulative=False),
             CLF,
+            train_calibration_model(cal, CLF),
             trace=trace,
         )
         for entry, target in zip(trace, sorted(targets, key=lambda t: t.batch_id)):
@@ -324,8 +338,9 @@ class TestSelfTraining:
     def test_deterministic(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
         cfg = SelfTrainConfig(threshold=0.95, max_rounds=4)
-        a = run_self_training(cal, targets, cfg, CLF)
-        b = run_self_training(cal, targets, cfg, CLF)
+        model = train_calibration_model(cal, CLF)
+        a = run_self_training(cal, targets, cfg, CLF, model)
+        b = run_self_training(cal, targets, cfg, CLF, model)
         for x, y in zip(a, b):
             assert np.array_equal(x.predicted, y.predicted)
             assert np.array_equal(x.confidence, y.confidence)
@@ -333,6 +348,7 @@ class TestSelfTraining:
     def test_warm_start_keeps_predictions_and_saves_iterations(self, small_synth, monkeypatch):
         cal, targets, _ = split_calibration(small_synth)
         st = SelfTrainConfig(threshold=0.9, max_rounds=4)
+        model = train_calibration_model(cal, CLF)
 
         def run(cold):
             iters = []
@@ -343,7 +359,7 @@ class TestSelfTraining:
                 return model
 
             monkeypatch.setattr(adaptation, "train_with_config", counted)
-            return run_self_training(cal, targets, st, CLF), iters
+            return run_self_training(cal, targets, st, CLF, model), iters
 
         warm, warm_iters = run(cold=False)
         cold, cold_iters = run(cold=True)
@@ -351,28 +367,3 @@ class TestSelfTraining:
         for w, c in zip(warm, cold):
             assert np.array_equal(w.predicted, c.predicted)
         assert sum(warm_iters) < sum(cold_iters)
-
-    @pytest.mark.parametrize("cumulative", [True, False])
-    def test_shared_calibration_model_changes_nothing(self, small_synth, monkeypatch, cumulative):
-        cal, targets, _ = split_calibration(small_synth)
-        st = SelfTrainConfig(threshold=0.9, max_rounds=4, cumulative=cumulative)
-        shared = adaptation.train_calibration_model(cal, CLF)
-        fits = []
-
-        def counted(*args, **kwargs):
-            fits.append(1)
-            return train_with_config(*args, **kwargs)
-
-        monkeypatch.setattr(adaptation, "train_with_config", counted)
-        own_trace, given_trace = [], []
-        own = run_self_training(cal, targets, st, CLF, trace=own_trace)
-        own_fits = len(fits)
-        given = run_self_training(
-            cal, targets, st, CLF, trace=given_trace, calibration_model=shared
-        )
-        assert len(fits) - own_fits == own_fits - 1
-        assert given_trace == own_trace
-        for a, b in zip(own, given):
-            assert np.array_equal(a.predicted, b.predicted)
-            assert np.array_equal(a.confidence, b.confidence)
-

@@ -155,7 +155,7 @@ class TestTrain:
         # A shift of every feature is absorbed by the biases alone, so the
         # fit must reach tol, in about the same iterations, at the same W.
         batch = generate_synthetic(SyntheticConfig(dim=10, per_class=40)).batch(1)
-        X, y = batch.feature_matrix(), batch.label_vector()
+        X, y = batch.features, batch.labels
         base = train_with_config(X, y, ClassifierConfig())
         shifted = train_with_config(X + offset, y, ClassifierConfig())
         assert base.converged and shifted.converged

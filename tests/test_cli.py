@@ -69,7 +69,7 @@ class TestNormalize:
         out_dir = tmp_path / "norm"
         assert main(["normalize", "--data-dir", str(data_dir), "--out", str(out_dir), "--stats"]) == 0
         ds = load_dataset(out_dir)
-        X1 = ds.batch(1).feature_matrix()
+        X1 = ds.batch(1).features
         assert X1.min() >= 0.0 and X1.max() <= 1.0
         stats_out = capsys.readouterr().out
         assert "min" in stats_out and "max" in stats_out

@@ -616,8 +616,7 @@ class TestTypes:
     def test_batch_columns_are_read_only_and_not_restacked(self):
         source = np.zeros((2, 3))
         batch = Batch(1, source, [1, 2], [np.nan, 4.0])
-        assert batch.feature_matrix() is batch.features
-        assert batch.label_vector() is batch.labels
+        assert np.shares_memory(batch.features, source)
         for column in (batch.features, batch.labels, batch.concentrations):
             with pytest.raises(ValueError):
                 column[0] = 1
@@ -634,13 +633,13 @@ class TestSynthetic:
         a = generate_synthetic(cfg)
         b = generate_synthetic(cfg)
         for bid in a.batch_ids:
-            assert np.array_equal(a.batch(bid).feature_matrix(), b.batch(bid).feature_matrix())
-            assert np.array_equal(a.batch(bid).label_vector(), b.batch(bid).label_vector())
+            assert np.array_equal(a.batch(bid).features, b.batch(bid).features)
+            assert np.array_equal(a.batch(bid).labels, b.batch(bid).labels)
 
     def test_zero_drift_batches_are_distinct_draws(self):
         cfg = SyntheticConfig(n_classes=2, dim=4, per_class=6, n_batches=3, drift_step=0.0, seed=5)
         ds = generate_synthetic(cfg)
-        assert not np.array_equal(ds.batch(1).feature_matrix(), ds.batch(2).feature_matrix())
+        assert not np.array_equal(ds.batch(1).features, ds.batch(2).features)
 
     def test_single_batch(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=2, dim=4, per_class=3, n_batches=1, seed=1))
@@ -652,7 +651,7 @@ class TestSynthetic:
         still = generate_synthetic(SyntheticConfig(drift_step=0.0, **base))
         moved = generate_synthetic(SyntheticConfig(drift_step=2.0, **base))
         for bid in still.batch_ids:
-            delta = moved.batch(bid).feature_matrix() - still.batch(bid).feature_matrix()
+            delta = moved.batch(bid).features - still.batch(bid).features
             # one shared translation per batch, growing linearly with batch index
             assert np.allclose(delta, delta[0], atol=1e-12)
             assert np.isclose(np.linalg.norm(delta[0]), 2.0 * (bid - 1), atol=1e-9)

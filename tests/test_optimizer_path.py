@@ -12,6 +12,9 @@ depends on the coordinates the shared chain is fitted in.  With all five
 methods, ``selftrain``'s warm-started fits on a growing pool join the
 grid; at drift step 0.6 two of their cold fits reach the floating-point
 floor before 1e-9 with single-threaded BLAS, and stop when the loss stalls.
+Below full complement (``components`` 60) every DRCA/LDSP target takes an
+eigen fit, warm-started from the calibration model and then from the fit
+before it.
 """
 
 import pytest
@@ -45,6 +48,20 @@ def test_adapt_synthetic_grid_is_the_cold_tight_grid(monkeypatch, drift_step):
 @pytest.mark.parametrize("drift_step", [0.3, 0.6])
 def test_five_method_grid_is_the_cold_tight_grid(monkeypatch, drift_step):
     keys = {**SYNTHETIC, "synthetic.drift_step": drift_step, "methods": ",".join(METHOD_NAMES)}
+    default = report_to_csv(run_experiment(resolve_config(keys)))
+    assert cold_tight_csv(monkeypatch, keys) == default
+
+
+def test_eigen_path_grid_is_the_cold_tight_grid(monkeypatch):
+    # Below full complement every target takes an eigen fit, and the first
+    # one starts from the calibration model rather than from zero.
+    keys = {
+        **SYNTHETIC,
+        "synthetic.drift_step": 0.5,
+        "methods": "drca,ldsp",
+        "drca.components": 60,
+        "ldsp.components": 60,
+    }
     default = report_to_csv(run_experiment(resolve_config(keys)))
     assert cold_tight_csv(monkeypatch, keys) == default
 

@@ -83,9 +83,9 @@ class TestMinMax:
     def test_normalize_dataset_keeps_structure(self, small_synth):
         out = normalize_dataset(small_synth)
         assert out.batch_ids == small_synth.batch_ids
-        X1 = out.batch(1).feature_matrix()
+        X1 = out.batch(1).features
         assert X1.min() >= 0.0 and X1.max() <= 1.0
-        assert np.array_equal(out.batch(2).label_vector(), small_synth.batch(2).label_vector())
+        assert np.array_equal(out.batch(2).labels, small_synth.batch(2).labels)
 
     def test_normalize_dataset_leaves_its_input_as_it_was(self, small_synth):
         before = dict(small_synth.batches)
