@@ -16,7 +16,9 @@ Strategies:
   drca       per-target deflated weighted-covariance transform, then train
              on the projected calibration data.
   ldsp       as drca, with source-label scatter terms in the objective.
-  selftrain  confidence-gated pseudo-labeling with retraining.
+  selftrain  confidence-gated pseudo-labeling; a round refits only a pool
+             that has grown since its model was fitted, and a reset pool
+             takes the calibration model.
 
 At full complement (components = D - 1) drca and ldsp coincide on every
 drifted target: the calibration fit with its weights kept orthogonal to the
@@ -109,9 +111,6 @@ class LabelStore:
 
     def labels_for(self, batch_id: int) -> np.ndarray:
         return self._labels[batch_id]
-
-    def batch_ids(self) -> list[int]:
-        return sorted(self._labels)
 
 
 def strip_labels(batch: Batch) -> TargetBatch:
@@ -278,40 +277,43 @@ def run_self_training(
 ) -> list[PredictionSet]:
     """Confidence-gated pseudo-labeling, batches processed in ascending order.
 
-    Per batch, up to ``max_rounds`` times: train on the pool, predict the
-    batch, and move not-yet-added points with confidence >= threshold into
+    Per batch, up to ``max_rounds`` times: predict the batch with the current
+    model, and move not-yet-added points with confidence >= threshold into
     the pool under their predicted labels; stop early once a round adds
-    nothing.  The last trained model provides the recorded predictions.
-    Added points keep their first pseudo-label permanently.  In cumulative
-    mode the pool carries across batches; otherwise it resets to the
-    calibration data for every batch.  The first round uses the calibration
-    model, the fit on the calibration batch alone; every later round's fit
-    starts from the weights of the model before it: the pool changes little
-    between fits, and the optimum does not depend on the start.
+    nothing.  The last round's predictions are the recorded ones.  Added
+    points keep their first pseudo-label permanently.  In cumulative mode
+    the pool carries across batches; otherwise it resets to the calibration
+    data for every batch, and the model to the calibration model, the fit on
+    that pool.
+
+    A round refits only when the pool has grown since the current model was
+    fitted, so no fit repeats one on the same pool.  The pool is a list of
+    blocks that only grows between resets, and ``fitted`` counts the blocks
+    the current model was fitted on: the calibration model covers the first.
+    Every refit starts from the weights of the model before it: the pool
+    changes little between fits, and the optimum does not depend on the
+    start.
     """
     ordered = sorted(targets, key=lambda t: t.batch_id)
     X0, y0 = calibration.features, calibration.labels
-    pool_X = [X0]
-    pool_y = [y0]
+    pool_X, pool_y = [X0], [y0]
+    model, fitted = calibration_model, 1
     out = []
-    model = None
     for t in ordered:
         if not st_config.cumulative:
-            pool_X = [X0]
-            pool_y = [y0]
+            pool_X, pool_y = [X0], [y0]
+            model, fitted = calibration_model, 1
         added = np.zeros(len(t), dtype=bool)
-        pred = conf = None
         rounds = 0
         for _ in range(st_config.max_rounds):
-            if model is None:
-                model = calibration_model
-            else:
+            if len(pool_y) > fitted:
                 model = train_with_config(
                     np.vstack(pool_X),
                     np.concatenate(pool_y),
                     clf_config,
                     init_weights=model.weights,
                 )
+                fitted = len(pool_y)
             pred, conf = predict(model, t.features)
             rounds += 1
             gate = (conf >= st_config.threshold) & ~added

@@ -93,16 +93,6 @@ class LogRegModel:
         object.__setattr__(self, "class_ids", ids)
 
 
-def objective(params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, reg_strength: float) -> float:
-    """Regularized mean cross-entropy at the given (C, k+1) parameter matrix."""
-    W, b = params[:, :-1], params[:, -1]
-    Z = X @ W.T + b
-    m = Z.max(axis=1)
-    lse = m + np.log(np.exp(Z - m[:, None]).sum(axis=1))
-    nll = float(np.mean(lse - Z[np.arange(X.shape[0]), y_idx]))
-    return nll + reg_strength * float((W * W).sum())
-
-
 def _label_picks(y_idx: np.ndarray, n: int) -> np.ndarray:
     """Flat indices of each sample's true-class entry in a (C, n) array."""
     return np.asarray(y_idx) * n + np.arange(n)
@@ -148,19 +138,6 @@ def _kernel(
     g_W += (2.0 * reg_strength) * W - np.multiply.outer(g_b, center)
     g_W /= scale
     return loss, np.hstack([g_W, g_b[:, None]]).ravel()
-
-
-def objective_and_gradient(
-    params: np.ndarray, X: np.ndarray, y_idx: np.ndarray, reg_strength: float
-) -> tuple[float, np.ndarray]:
-    """Objective value and its gradient with respect to the full parameter matrix."""
-    params = np.asarray(params, dtype=float)
-    X = np.asarray(X, dtype=float)
-    C = params.shape[0]
-    n, k = X.shape
-    picks = _label_picks(y_idx, n)
-    loss, grad = _kernel(params.ravel(), X, np.zeros(k), 1.0, picks, C, reg_strength)
-    return loss, grad.reshape(C, -1)
 
 
 def _uncentred_grad_norm(
@@ -350,11 +327,6 @@ def _class_major_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
     E = np.exp(Zt, out=Zt)
     E /= E.sum(axis=0)
     return E
-
-
-def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
-    """Per-class softmax probabilities; each row sums to 1."""
-    return _class_major_proba(model, X).T
 
 
 def predict(model: LogRegModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

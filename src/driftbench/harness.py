@@ -31,13 +31,14 @@ from .adaptation import (
 )
 from .config import ConfigError, RunConfig
 from .data_io import (
+    DataFormatError,
     Dataset,
     atomic_write_text,
     dataset_checksum,
     generate_synthetic,
     load_dataset,
 )
-from .metrics import accuracy, f1_score
+from .metrics import accuracy, f1_score, sorted_unique
 from .preprocess import normalize_batches
 from .subspace import lda_fit, pca_fit, project
 
@@ -99,23 +100,30 @@ def load_input_dataset(cfg: RunConfig) -> Dataset:
     raise ConfigError("no input data: set data.dir or synthetic.enabled")
 
 
-def check_components(cfg: RunConfig, dataset: Dataset) -> None:
-    """Reject a DRCA/LDSP component count that no drifted target can supply.
+def check_config_against_data(cfg: RunConfig, dataset: Dataset) -> None:
+    """Reject a config that the loaded data cannot run, before any model is trained.
 
-    Each target after batch 1 has its mean difference from batch 1 deflated
-    away, which leaves D - 1 components; catching this here fails the run
-    before any model is trained.
+    Every model is fitted on batch 1, which therefore needs at least 2
+    classes (each class brings a sample, so there are as many samples as
+    classes).  A DRCA/LDSP eigen fit keeps ``components`` of the D
+    features: all D for batch 1's reference row, and D - 1 for each target
+    after it, whose mean difference from batch 1 is deflated away.
     """
-    if len(dataset.batch_ids) < 2:
-        return
+    n_classes = sorted_unique(dataset.batch(REFERENCE_BATCH_ID).labels).shape[0]
+    if n_classes < 2:
+        raise DataFormatError(
+            f"batch {REFERENCE_BATCH_ID} holds {n_classes} class(es); "
+            "the calibration batch needs at least 2"
+        )
     d = dataset.feature_dim
+    if len(dataset.batch_ids) > 1:
+        k_max, what = d - 1, f"the {d - 1} components left after deflation of the D={d} features"
+    else:
+        k_max, what = d, f"the D={d} features of batch {REFERENCE_BATCH_ID}'s reference row"
     for method in ("drca", "ldsp"):
         k = getattr(cfg, method).components
-        if method in cfg.methods and k > d - 1:
-            raise ConfigError(
-                f"{method}.components={k} exceeds the {d - 1} components left after deflation "
-                f"of the D={d} features"
-            )
+        if method in cfg.methods and k > k_max:
+            raise ConfigError(f"{method}.components={k} exceeds {what}")
 
 
 def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalReport:
@@ -125,7 +133,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     ``out_dir`` is given the CSV and JSON reports are written there as well.
     """
     raw = load_input_dataset(cfg)
-    check_components(cfg, raw)
+    check_config_against_data(cfg, raw)
     checksum = dataset_checksum(raw)
     # The run owns what it loaded: it rescales the batches in place in the
     # loaded dict, so each raw batch is freed as soon as its rescaled copy
@@ -259,6 +267,16 @@ def projection_rows(dataset: Dataset, which: str) -> list[tuple]:
     """
     if which not in PROJECTION_VIEWS:
         raise ValueError(f"unknown projection view '{which}' (choose from {PROJECTION_VIEWS})")
+    if which != "pca":
+        # A 2-D discriminant projection needs 2 directions, and C classes give C - 1.
+        fitted = dataset.batch_ids if which == "lda-per-batch" else [1]
+        for bid in fitted:
+            n_classes = sorted_unique(dataset.batch(bid).labels).shape[0]
+            if n_classes < 3:
+                raise DataFormatError(
+                    f"batch {bid} holds {n_classes} class(es); --method {which} fits a 2-D "
+                    "discriminant projection on it, which needs at least 3"
+                )
     rows = []
     fixed = None
     if which == "pca":

@@ -50,5 +50,3 @@ def f1_score(predicted, actual) -> float:
         f1[i] = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
     return float(f1.mean())
 
-
-macro_f1 = f1_score

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftbench.classifier import _kernel, _label_picks
 from driftbench.config import resolve_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic
 from driftbench.harness import run_experiment
@@ -48,6 +49,18 @@ def small_synth():
     return generate_synthetic(
         SyntheticConfig(n_classes=4, dim=10, per_class=30, n_batches=4, drift_step=1.2, seed=23)
     )
+
+
+def objective_and_gradient(params, X, y_idx, reg_strength):
+    """The shipped training kernel's objective and (C, k+1) gradient on the
+    caller's ``(W, b)``: centre 0 and scale 1, where its variables are the
+    uncentred weights."""
+    params = np.asarray(params, dtype=float)
+    X = np.asarray(X, dtype=float)
+    C = params.shape[0]
+    picks = _label_picks(y_idx, X.shape[0])
+    loss, grad = _kernel(params.ravel(), X, np.zeros(X.shape[1]), 1.0, picks, C, reg_strength)
+    return loss, grad.reshape(C, -1)
 
 
 def make_cluster_pair(rng, n=40, dim=6, separation=3.0, within_scale=1.0):

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they verify: covariance by explicit
 double loop, metrics by pure-Python confusion counting, the two-class
-discriminant direction by closed form and by grid search.
+discriminant direction by closed form and by grid search, the classifier's
+objective by row-major logits on the uncentred weights.
 """
 
 import numpy as np
@@ -36,6 +37,16 @@ def confusion_macro_f1(predicted, actual):
         rec = tp / (tp + fn) if tp + fn else 0.0
         scores.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
     return sum(scores) / len(scores)
+
+
+def logreg_objective(params, X, y_idx, reg_strength):
+    """Regularized mean cross-entropy at the given (C, k+1) parameter matrix."""
+    W, b = params[:, :-1], params[:, -1]
+    Z = X @ W.T + b
+    m = Z.max(axis=1)
+    lse = m + np.log(np.exp(Z - m[:, None]).sum(axis=1))
+    nll = float(np.mean(lse - Z[np.arange(X.shape[0]), y_idx]))
+    return nll + reg_strength * float((W * W).sum())
 
 
 def two_class_discriminant_closed_form(X, y):

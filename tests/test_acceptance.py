@@ -22,11 +22,11 @@ from driftbench.adaptation import (
     split_calibration,
     train_calibration_model,
 )
-from driftbench.classifier import ClassifierConfig, objective, objective_and_gradient
+from driftbench.classifier import ClassifierConfig
 from driftbench.config import resolve_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset
 from driftbench.harness import export_report, run_experiment
-from driftbench.metrics import accuracy, macro_f1
+from driftbench.metrics import accuracy, f1_score
 from driftbench.preprocess import apply_minmax_matrix, fit_minmax
 from driftbench.subspace import (
     DrcaConfig,
@@ -38,10 +38,12 @@ from driftbench.subspace import (
     scatter_matrices,
 )
 
+from conftest import objective_and_gradient
 from oracles import (
     confusion_accuracy,
     confusion_macro_f1,
     full_space_objective_matrix,
+    logreg_objective,
 )
 
 CANONICAL_BATCH_COUNTS = [445, 1244, 1586, 161, 197, 2300, 3613, 294, 470, 3600]
@@ -206,7 +208,7 @@ class TestProperties:
                     dn = params.copy()
                     dn[i, j] -= h
                     numeric[i, j] = (
-                        objective(up, X, y_idx, reg) - objective(dn, X, y_idx, reg)
+                        logreg_objective(up, X, y_idx, reg) - logreg_objective(dn, X, y_idx, reg)
                     ) / (2 * h)
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
             assert rel.max() <= 1e-5
@@ -233,7 +235,7 @@ class TestProperties:
             p = rng.integers(1, k + 1, size=n)
             a = rng.integers(1, k + 1, size=n)
             assert accuracy(p, a) == confusion_accuracy(list(p), list(a))
-            assert abs(macro_f1(p, a) - confusion_macro_f1(list(p), list(a))) <= 1e-12
+            assert abs(f1_score(p, a) - confusion_macro_f1(list(p), list(a))) <= 1e-12
         report_pass("7d", "accuracy/macro-F1 match the confusion-matrix oracle on 1000 pairs")
 
     def test_c7e_ldsp_degenerates_to_drca_10_datasets(self, monkeypatch):

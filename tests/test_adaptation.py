@@ -40,7 +40,8 @@ class TestGuard:
 
     def test_store_covers_all_batches(self, small_synth):
         _, _, store = split_calibration(small_synth)
-        assert store.batch_ids() == small_synth.batch_ids
+        for b in small_synth.batch_ids:
+            assert np.array_equal(store.labels_for(b), small_synth.batch(b).labels)
 
     def test_features_read_only(self, small_synth):
         _, targets, _ = split_calibration(small_synth)
@@ -303,6 +304,7 @@ class TestSelfTraining:
         assert all(t["rounds"] == 1 for t in trace)
         for a, b in zip(st, none):
             assert np.array_equal(a.predicted, b.predicted)
+            assert np.array_equal(a.confidence, b.confidence)
 
     def test_pool_accounting_no_duplicates(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)
@@ -334,6 +336,37 @@ class TestSelfTraining:
         )
         for entry, target in zip(trace, sorted(targets, key=lambda t: t.batch_id)):
             assert entry["pool_size"] == len(cal) + entry["n_added"]
+
+    @staticmethod
+    def fit_rows(small_synth, monkeypatch, cumulative):
+        """Rows and iterations of each self-training fit, in call order."""
+        cal, targets, _ = split_calibration(small_synth)
+        model = train_calibration_model(cal, CLF)
+        fits = []
+        train = adaptation.train_with_config
+
+        def spy(X, y, config, init_weights=None):
+            fitted = train(X, y, config, init_weights)
+            fits.append((X.shape[0], fitted.n_iter))
+            return fitted
+
+        monkeypatch.setattr(adaptation, "train_with_config", spy)
+        st = SelfTrainConfig(threshold=0.8, max_rounds=6, cumulative=cumulative)
+        run_self_training(cal, targets, st, CLF, model)
+        return len(cal), fits
+
+    def test_cumulative_refits_only_a_grown_pool(self, small_synth, monkeypatch):
+        # A batch whose last round added nothing leaves the pool as its model
+        # was fitted on, so the next batch's first round predicts with it.
+        _, fits = self.fit_rows(small_synth, monkeypatch, cumulative=True)
+        rows = [n for n, _ in fits]
+        assert len(rows) > 1
+        assert all(a < b for a, b in zip(rows, rows[1:])), fits
+
+    def test_reset_pool_takes_the_calibration_model(self, small_synth, monkeypatch):
+        n_calibration, fits = self.fit_rows(small_synth, monkeypatch, cumulative=False)
+        assert fits
+        assert all(n > n_calibration for n, _ in fits), fits
 
     def test_deterministic(self, small_synth):
         cal, targets, _ = split_calibration(small_synth)

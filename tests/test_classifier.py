@@ -4,14 +4,15 @@ import pytest
 from driftbench.classifier import (
     ClassifierConfig,
     LogRegModel,
-    objective,
-    objective_and_gradient,
+    _class_major_proba,
     predict,
-    predict_proba,
     train,
     train_with_config,
 )
 from driftbench.data_io import SyntheticConfig, generate_synthetic
+
+from conftest import objective_and_gradient
+from oracles import logreg_objective
 
 
 def finite_difference_gradient(params, X, y_idx, reg, h=1e-6):
@@ -22,7 +23,8 @@ def finite_difference_gradient(params, X, y_idx, reg, h=1e-6):
             up[i, j] += h
             down = params.copy()
             down[i, j] -= h
-            grad[i, j] = (objective(up, X, y_idx, reg) - objective(down, X, y_idx, reg)) / (2 * h)
+            diff = logreg_objective(up, X, y_idx, reg) - logreg_objective(down, X, y_idx, reg)
+            grad[i, j] = diff / (2 * h)
     return grad
 
 
@@ -46,17 +48,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("offset", [0.0, 50.0])
     def test_losses_match_the_reference_objective(self, offset):
-        # The kernel and the centred change of variables leave every
-        # objective value as `objective` computes it on the caller's (W, b).
+        # The kernel and the centred change of variables leave every objective
+        # value as `logreg_objective` computes it on the caller's (W, b).
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 4)) + offset
         y_idx = np.arange(30) % 3
         params = rng.normal(size=(3, 5)) * 0.1
         loss, _ = objective_and_gradient(params, X, y_idx, reg_strength=0.05)
-        assert loss == pytest.approx(objective(params, X, y_idx, 0.05), rel=1e-12)
+        assert loss == pytest.approx(logreg_objective(params, X, y_idx, 0.05), rel=1e-12)
         model = train(X, y_idx, reg_strength=0.05)
         assert model.loss_trace[-1] == pytest.approx(
-            objective(model.weights, X, y_idx, 0.05), rel=1e-9
+            logreg_objective(model.weights, X, y_idx, 0.05), rel=1e-9
         )
 
     def test_duplicated_data_gives_same_model(self):
@@ -219,13 +221,13 @@ class TestPredict:
 
     def test_zero_weights_give_uniform_rows(self):
         model = self.model_with(np.zeros((4, 3)), [1, 2, 3, 4])
-        P = predict_proba(model, np.random.default_rng(0).normal(size=(6, 2)))
+        P = _class_major_proba(model, np.random.default_rng(0).normal(size=(6, 2))).T
         assert np.allclose(P, 0.25, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         model = self.model_with(rng.normal(size=(5, 8)) * 30, [1, 2, 3, 4, 5])
-        P = predict_proba(model, rng.normal(size=(40, 7)) * 10)
+        P = _class_major_proba(model, rng.normal(size=(40, 7)) * 10).T
         assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
         assert P.min() >= 0
 
@@ -234,8 +236,8 @@ class TestPredict:
         W = rng.normal(size=(3, 4))
         shifted = W + np.array([[0.0, 0.0, 0.0, 7.5]])  # same constant added to all biases
         X = rng.normal(size=(10, 3))
-        a = predict_proba(self.model_with(W, [1, 2, 3]), X)
-        b = predict_proba(self.model_with(shifted, [1, 2, 3]), X)
+        a = _class_major_proba(self.model_with(W, [1, 2, 3]), X).T
+        b = _class_major_proba(self.model_with(shifted, [1, 2, 3]), X).T
         assert np.allclose(a, b, atol=1e-12)
 
     def test_tie_breaks_to_lowest_class_id(self):
@@ -256,5 +258,5 @@ class TestPredict:
     def test_dimension_mismatch_rejected(self):
         model = self.model_with(np.zeros((2, 4)), [1, 2])
         with pytest.raises(ValueError, match="dim"):
-            predict_proba(model, np.zeros((3, 5)))
+            _class_major_proba(model, np.zeros((3, 5)))
 

@@ -7,7 +7,7 @@ import pytest
 
 from driftbench import adaptation, harness
 from driftbench.config import ConfigError, resolve_config
-from driftbench.data_io import Batch, Dataset
+from driftbench.data_io import Batch, DataFormatError, Dataset, write_batch_file
 from driftbench.harness import (
     PROJECTION_PLOT_LIMIT,
     export_projections,
@@ -40,6 +40,20 @@ SYNTH_KEYS = {
 
 def synth_config(**extra):
     return resolve_config({**SYNTH_KEYS, **extra})
+
+
+def fit_iterations(monkeypatch) -> list:
+    """A list that gains the iteration count of each classifier fit in a run."""
+    iters = []
+    train = adaptation.train_with_config
+
+    def counting(*args, **kwargs):
+        model = train(*args, **kwargs)
+        iters.append(model.n_iter)
+        return model
+
+    monkeypatch.setattr(adaptation, "train_with_config", counting)
+    return iters
 
 
 class TestRunExperiment:
@@ -110,6 +124,17 @@ class TestRunExperiment:
         assert len(iters) == 12
         assert sum(iters) <= 180
 
+    def test_five_method_run_fits_no_pool_twice(self, monkeypatch):
+        # A self-training round whose pool has not grown since its model was
+        # fitted predicts with that model; a refit would stop at 0 iterations.
+        iters = fit_iterations(monkeypatch)
+        methods = ",".join(adaptation.METHOD_NAMES)
+        run_experiment(
+            resolve_config({**SYNTHETIC, "synthetic.drift_step": 0.5, "methods": methods})
+        )
+        assert len(iters) == 22
+        assert 0 not in iters
+
     def test_raw_batches_are_freed_before_the_split(self, monkeypatch):
         # The run rescales the loaded batches in place, so no raw batch
         # outlives its rescaled copy: the run holds one copy of the data.
@@ -156,6 +181,25 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=r"ldsp\.components=12.*D=12"):
             run_experiment(synth_config(**{"methods": "none,ldsp", "ldsp.components": 12}))
         assert calls == []
+
+    def test_reference_row_components_fail_before_any_fit(self, monkeypatch):
+        # With batch 1 alone there is no target to deflate, and the reference
+        # row's eigen fit keeps at most the D features.
+        fits = fit_iterations(monkeypatch)
+        with pytest.raises(ConfigError, match=r"drca\.components=127 exceeds the D=16"):
+            run_experiment(resolve_config({"synthetic.enabled": True, "synthetic.n_batches": 1}))
+        assert fits == []
+
+    def test_single_class_calibration_batch_fails_before_any_fit(self, monkeypatch, tmp_path):
+        ds = load_input_dataset(synth_config())
+        for bid in ds.batch_ids:
+            batch = ds.batch(bid)
+            labels = np.ones_like(batch.labels) if bid == 1 else batch.labels
+            write_batch_file(tmp_path / f"batch{bid}.dat", Batch(bid, batch.features, labels))
+        fits = fit_iterations(monkeypatch)
+        with pytest.raises(DataFormatError, match=r"batch 1 holds 1 class"):
+            run_experiment(resolve_config({"data.dir": str(tmp_path), "methods": "none"}))
+        assert fits == []
 
     def test_components_unchecked_without_drifted_targets(self):
         cfg = synth_config(
@@ -248,6 +292,23 @@ class TestProjections:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "batch_id,label,x,y,clipped"
         assert len(lines) == 1 + ds.n_samples
+
+    @pytest.mark.parametrize(
+        "which, classes, batch", [("lda", (2, 3), 1), ("lda-per-batch", (3, 2), 2)]
+    )
+    def test_discriminant_views_need_three_classes_in_each_fitted_batch(
+        self, monkeypatch, which, classes, batch
+    ):
+        rng = np.random.default_rng(0)
+        ds = Dataset({
+            b: Batch(b, rng.normal(size=(6, 4)), np.arange(6) % c + 1)
+            for b, c in zip((1, 2), classes)
+        })
+        fits = []
+        monkeypatch.setattr(harness, "lda_fit", lambda *a: fits.append(1))
+        with pytest.raises(DataFormatError, match=rf"batch {batch} holds 2 class.*{which}"):
+            projection_rows(ds, which)
+        assert fits == []
 
     def test_unknown_view_rejected(self, small_synth):
         with pytest.raises(ValueError, match="view"):

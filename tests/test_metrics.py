@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftbench.metrics import accuracy, macro_f1
+from driftbench.metrics import accuracy, f1_score
 
 from oracles import confusion_accuracy, confusion_macro_f1
 
@@ -25,11 +25,11 @@ class TestAccuracy:
 
 class TestMacroF1:
     def test_perfect(self):
-        assert macro_f1([1, 2, 3, 1], [1, 2, 3, 1]) == 1.0
+        assert f1_score([1, 2, 3, 1], [1, 2, 3, 1]) == 1.0
 
     def test_hand_computed_one_third(self):
         # class 1: P=0.5 R=1 -> 2/3; class 2: 0 -> macro 1/3
-        assert macro_f1([1, 1, 1, 1], [1, 1, 2, 2]) == pytest.approx(1 / 3, abs=1e-15)
+        assert f1_score([1, 1, 1, 1], [1, 1, 2, 2]) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -38,11 +38,11 @@ class TestMacroF1:
         relabel = {1: 9, 2: 7, 3: 3, 4: 1}
         p2 = np.array([relabel[v] for v in p])
         a2 = np.array([relabel[v] for v in a])
-        assert macro_f1(p, a) == pytest.approx(macro_f1(p2, a2), abs=1e-15)
+        assert f1_score(p, a) == pytest.approx(f1_score(p2, a2), abs=1e-15)
 
     def test_predicted_only_class_counts_as_zero(self):
         # class 3 never occurs in actual but is predicted: F1 contribution 0
-        val = macro_f1([3, 1], [1, 1])
+        val = f1_score([3, 1], [1, 1])
         assert val == pytest.approx((2 / 3) / 2, abs=1e-15)
 
 
@@ -55,4 +55,4 @@ class TestOracleEquivalence:
             p = rng.integers(1, k + 1, size=n)
             a = rng.integers(1, k + 1, size=n)
             assert accuracy(p, a) == confusion_accuracy(list(p), list(a))
-            assert abs(macro_f1(p, a) - confusion_macro_f1(list(p), list(a))) <= 1e-12
+            assert abs(f1_score(p, a) - confusion_macro_f1(list(p), list(a))) <= 1e-12
