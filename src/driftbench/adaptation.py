@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifier import ClassifierConfig, LogRegModel, predict, train_with_config
-from .data_io import Batch, Dataset
+from .data_io import CALIBRATION_BATCH_ID, Batch, Dataset
 from .subspace import DrcaConfig, LdspConfig, deflation_threshold, drca_fit, ldsp_fit, project
 
 logger = logging.getLogger(__name__)
@@ -120,8 +120,10 @@ def strip_labels(batch: Batch) -> TargetBatch:
 
 def split_calibration(dataset: Dataset) -> tuple[Batch, list[TargetBatch], LabelStore]:
     """Split into (labeled calibration batch, label-free targets, label store)."""
-    calibration = dataset.batch(1)
-    targets = [strip_labels(dataset.batch(b)) for b in dataset.batch_ids if b != 1]
+    calibration = dataset.batch(CALIBRATION_BATCH_ID)
+    targets = [
+        strip_labels(dataset.batch(b)) for b in dataset.batch_ids if b != CALIBRATION_BATCH_ID
+    ]
     store = LabelStore({b: dataset.batch(b).labels for b in dataset.batch_ids})
     return calibration, targets, store
 

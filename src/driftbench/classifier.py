@@ -78,7 +78,6 @@ class LogRegModel:
     class_ids: np.ndarray
     n_iter: int
     converged: bool
-    loss_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -177,8 +176,8 @@ def train(
     X: np.ndarray,
     y,
     reg_strength: float,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
+    tol: float = ClassifierConfig.tol,
+    max_iter: int = ClassifierConfig.max_iter,
     init_weights: np.ndarray | None = None,
 ) -> LogRegModel:
     """Fit by L-BFGS until the gradient's 2-norm drops to ``tol``, the loss
@@ -240,7 +239,6 @@ def train(
     params = params.ravel()
 
     loss, grad = _kernel(params, X, mu, scale, picks, C, reg_strength)
-    trace = [loss]
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     stalled = 0
     n_iter = 0
@@ -268,7 +266,6 @@ def train(
             pairs.append((s, g_diff, 1.0 / sy))
         stalled = stalled + 1 if trial_loss >= loss else 0
         params, loss, grad = trial, trial_loss, trial_grad
-        trace.append(loss)
         n_iter += 1
     grad_norm = _uncentred_grad_norm(grad, mu, scale, C)
     converged = grad_norm <= tol
@@ -288,7 +285,6 @@ def train(
         class_ids=class_ids,
         n_iter=n_iter,
         converged=converged,
-        loss_trace=tuple(trace),
     )
 
 

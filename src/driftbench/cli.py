@@ -24,8 +24,12 @@ from .preprocess import normalize_dataset
 def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--config", help="JSON config file of flat key-value settings")
-    data.add_argument("--data-dir", help="directory holding batch1.dat .. batchN.dat")
-    data.add_argument("--seed", type=int, help="override the synthetic-data seed")
+    data.add_argument(
+        "--data-dir", dest="data.dir", help="directory holding batch1.dat .. batchN.dat"
+    )
+    data.add_argument(
+        "--seed", dest="synthetic.seed", type=int, help="override the synthetic-data seed"
+    )
 
     parser = argparse.ArgumentParser(
         prog="driftbench",
@@ -44,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV file to write the coordinates to")
 
     p = sub.add_parser("run", parents=[data], help="run the benchmark and write reports")
-    p.add_argument("--method", help="'all' or a comma list of methods (overrides 'methods')")
+    p.add_argument(
+        "--method", dest="methods", help="'all' or a comma list of methods (overrides 'methods')"
+    )
     p.add_argument(
         "--out", default="driftbench-out", help="directory for report.csv and report.json"
     )
@@ -56,20 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if args.data_dir:
-        out["data.dir"] = args.data_dir
-    if args.seed is not None:
-        out["synthetic.seed"] = args.seed
-    if getattr(args, "method", None) and args.command == "run":
-        out["methods"] = args.method
-    return out
+# Flags that override a config key take the key as their dest. A flag not given
+# reads None, which load_run_config drops; a given one wins, even when empty.
+_OVERRIDE_KEYS = ("data.dir", "synthetic.seed", "methods")
 
 
 def _config(args):
-    cfg = load_run_config(args.config, _overrides(args))
-    if args.seed is not None and not cfg.synthetic_enabled:
+    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+    cfg = load_run_config(args.config, overrides)
+    if overrides["synthetic.seed"] is not None and not cfg.synthetic_enabled:
         raise ConfigError("--seed applies only to synthetic data (synthetic.enabled is false)")
     return cfg
 

@@ -134,7 +134,7 @@ class Dataset:
 
     @property
     def feature_dim(self) -> int:
-        return self.batches[1].features.shape[1]
+        return self.batches[CALIBRATION_BATCH_ID].features.shape[1]
 
 
 def _parse_head(token: str, at: str) -> tuple[int, float]:
@@ -438,6 +438,9 @@ def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]
 
 _BATCH_FILE = re.compile(r"batch([1-9][0-9]*)\.dat")
 
+# The labeled batch every model is fitted on: batch1.dat, which a directory must hold.
+CALIBRATION_BATCH_ID = 1
+
 
 def load_dataset(directory: Path | str) -> Dataset:
     """Load ``batch1.dat .. batchN.dat`` from a directory, for any N.
@@ -455,7 +458,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         for path in directory.iterdir()
         if (m := _BATCH_FILE.fullmatch(path.name)) and path.is_file()
     }
-    if 1 not in present:
+    if CALIBRATION_BATCH_ID not in present:
         raise DataFormatError(f"{directory}: batch1.dat (calibration batch) is required")
     ids = sorted(present)
     # Name each gap as a range: one stray batch20240101.dat must not list millions.

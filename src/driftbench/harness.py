@@ -31,6 +31,7 @@ from .adaptation import (
 )
 from .config import ConfigError, RunConfig
 from .data_io import (
+    CALIBRATION_BATCH_ID,
     DataFormatError,
     Dataset,
     atomic_write_text,
@@ -46,8 +47,6 @@ from .subspace import lda_fit, pca_fit, project
 PROJECTION_PLOT_LIMIT = 200.0
 
 PROJECTION_VIEWS = ("pca", "lda", "lda-per-batch")
-
-REFERENCE_BATCH_ID = 1
 
 
 @dataclass(frozen=True)
@@ -109,17 +108,17 @@ def check_config_against_data(cfg: RunConfig, dataset: Dataset) -> None:
     features: all D for batch 1's reference row, and D - 1 for each target
     after it, whose mean difference from batch 1 is deflated away.
     """
-    n_classes = sorted_unique(dataset.batch(REFERENCE_BATCH_ID).labels).shape[0]
+    n_classes = sorted_unique(dataset.batch(CALIBRATION_BATCH_ID).labels).shape[0]
     if n_classes < 2:
         raise DataFormatError(
-            f"batch {REFERENCE_BATCH_ID} holds {n_classes} class(es); "
+            f"batch {CALIBRATION_BATCH_ID} holds {n_classes} class(es); "
             "the calibration batch needs at least 2"
         )
     d = dataset.feature_dim
     if len(dataset.batch_ids) > 1:
         k_max, what = d - 1, f"the {d - 1} components left after deflation of the D={d} features"
     else:
-        k_max, what = d, f"the D={d} features of batch {REFERENCE_BATCH_ID}'s reference row"
+        k_max, what = d, f"the D={d} features of batch {CALIBRATION_BATCH_ID}'s reference row"
     for method in ("drca", "ldsp"):
         k = getattr(cfg, method).components
         if method in cfg.methods and k > k_max:
@@ -132,19 +131,16 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     Batch 1 is scored as a training-reference row beside batches 2..N.  When
     ``out_dir`` is given the CSV and JSON reports are written there as well.
     """
-    raw = load_input_dataset(cfg)
-    check_config_against_data(cfg, raw)
-    checksum = dataset_checksum(raw)
+    dataset = load_input_dataset(cfg)
+    check_config_against_data(cfg, dataset)
+    checksum = dataset_checksum(dataset)
     # The run owns what it loaded: it rescales the batches in place in the
-    # loaded dict, so each raw batch is freed as soon as its rescaled copy
-    # exists and the run never holds two full copies of the data.
-    batches = raw.batches
-    del raw
+    # dataset's dict, under the same keys and ids, so each raw batch is freed as
+    # soon as its rescaled copy exists and the run never holds two copies of the data.
     if cfg.normalize:
-        normalize_batches(batches)
-    dataset = Dataset(batches)
+        normalize_batches(dataset.batches)
     calibration, targets, labels = split_calibration(dataset)
-    reference = strip_labels(dataset.batch(REFERENCE_BATCH_ID))
+    reference = strip_labels(dataset.batch(CALIBRATION_BATCH_ID))
 
     clf, st = cfg.classifier, cfg.selftrain
     # Every strategy takes the plain calibration fit; it is deterministic,
@@ -182,7 +178,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
         provenance={
             "dataset_checksum": checksum,
             "code_version": __version__,
-            "reference_batch_id": REFERENCE_BATCH_ID,
+            "reference_batch_id": CALIBRATION_BATCH_ID,
         },
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
@@ -269,7 +265,7 @@ def projection_rows(dataset: Dataset, which: str) -> list[tuple]:
         raise ValueError(f"unknown projection view '{which}' (choose from {PROJECTION_VIEWS})")
     if which != "pca":
         # A 2-D discriminant projection needs 2 directions, and C classes give C - 1.
-        fitted = dataset.batch_ids if which == "lda-per-batch" else [1]
+        fitted = dataset.batch_ids if which == "lda-per-batch" else [CALIBRATION_BATCH_ID]
         for bid in fitted:
             n_classes = sorted_unique(dataset.batch(bid).labels).shape[0]
             if n_classes < 3:
@@ -280,9 +276,9 @@ def projection_rows(dataset: Dataset, which: str) -> list[tuple]:
     rows = []
     fixed = None
     if which == "pca":
-        fixed = pca_fit(dataset.batch(1).features, 2)
+        fixed = pca_fit(dataset.batch(CALIBRATION_BATCH_ID).features, 2)
     elif which == "lda":
-        b1 = dataset.batch(1)
+        b1 = dataset.batch(CALIBRATION_BATCH_ID)
         fixed = lda_fit(b1.features, b1.labels, 2)
     for bid in dataset.batch_ids:
         batch = dataset.batch(bid)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import Batch, Dataset
+from .data_io import CALIBRATION_BATCH_ID, Batch, Dataset
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def normalize_batches(batches: dict[int, Batch]) -> None:
     that holds no other reference to the old batches never holds two full
     copies of the data.
     """
-    params = fit_minmax(batches[1])
+    params = fit_minmax(batches[CALIBRATION_BATCH_ID])
     for bid in batches:
         batches[bid] = normalize_batch(params, batches[bid])
 

@@ -238,10 +238,10 @@ def _deflated_fit(
     A = covariance(Xs) + target_weight * covariance(Xt)
     if objective_extra is not None:
         A = A + objective_extra
-    A = 0.5 * (A + A.T)
     if deflate:
         Q = _complement_basis(diff)
         M = Q.T @ A @ Q
+        # A, a sum of symmetrised matrices, is exactly symmetric; Qᵀ A Q is not.
         M = 0.5 * (M + M.T)
         vals, vecs = _sorted_eig(M, k)
         W = Q @ vecs

@@ -1,9 +1,14 @@
 """Digests of the guarded report grids, to check that a change keeps them byte-identical.
 
-Run from the root of a checkout, once at each of two commits, and diff the
-outputs::
+Run from the root of a checkout at the parent commit, save the output, and
+compare the change against it::
 
     PYTHONPATH=src python tests/grid_digests.py > digests.txt
+    PYTHONPATH=src python tests/grid_digests.py --against digests.txt
+
+With ``--against`` it prints each line that differs from the saved run, as a
+``-`` saved line and a ``+`` current line, and exits 1 on any difference and
+0 when every line matches.
 
 It writes the benchmark's stand-in (``perfbench/standin.py``, seed 1) to a
 temporary directory and runs 12 configs:
@@ -26,15 +31,19 @@ from collecting it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":
+    # Before numpy loads BLAS; a test that imports this module keeps its own.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -98,19 +107,50 @@ def run_counted(keys: dict) -> tuple[str, str, int, int]:
     return sha256(report_to_csv(report)), sha256(as_json), len(iters), sum(iters)
 
 
-def main() -> int:
+def digest_lines():
+    """The output's lines, one per config and one per projection view."""
     with tempfile.TemporaryDirectory() as tmp:
         standin_dir = Path(tmp) / "standin"
         write_standin(make_standin(1), standin_dir)
         for name, keys in configs(standin_dir).items():
             csv_digest, json_digest, fits, iters = run_counted(keys)
-            print(f"{name:<28} csv {csv_digest} json {json_digest} fits {fits:>3} iters {iters:>4}")
+            yield f"{name:<28} csv {csv_digest} json {json_digest} fits {fits:>3} iters {iters:>4}"
         cfg = resolve_config({"data.dir": str(standin_dir)})
         dataset = normalize_dataset(load_input_dataset(cfg))
         for which in PROJECTION_VIEWS:
             path = export_projections(dataset, which, Path(tmp) / f"{which}.csv")
-            print(f"{'project-' + which:<28} csv {sha256(path.read_text())}")
-    return 0
+            yield f"{'project-' + which:<28} csv {sha256(path.read_text())}"
+
+
+def differences(saved: str, current: str) -> list[str]:
+    """Each line where ``current`` differs from ``saved``: the saved line
+    after ``-`` and the current one after ``+``, either left out where that
+    side has no such line."""
+    out = []
+    for old, new in zip_longest(saved.splitlines(), current.splitlines()):
+        if old != new:
+            if old is not None:
+                out.append(f"- {old}")
+            if new is not None:
+                out.append(f"+ {new}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument(
+        "--against", type=Path, help="a saved output to compare with; exit 1 on any difference"
+    )
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for line in digest_lines():
+            print(line, flush=True)
+        return 0
+    saved = args.against.read_text()
+    lines = list(digest_lines())
+    diff = differences(saved, "\n".join(lines) + "\n")
+    print("\n".join(diff) if diff else f"all {len(lines)} lines match the saved run")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 
 import driftbench
 from driftbench import cli, data_io, harness
+from driftbench.adaptation import METHOD_NAMES
 from driftbench.cli import _format_grid, main
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
 from driftbench.harness import Cell
@@ -127,6 +128,23 @@ def test_readme_cli_block_parses():
         cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_readme_run_config_runs(tmp_path, monkeypatch):
+    # The CLI section's run.json and its `driftbench run` line, run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    run_line = next(line for line in block.splitlines() if line.startswith("driftbench run "))
+    config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(config)
+    argv = shlex.split(run_line)[1:]
+    assert main(argv) == 0
+    out_dir = Path(argv[argv.index("--out") + 1])
+    assert (out_dir / "report.csv").exists()
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert {row["method"] for row in doc["grid"]} == set(METHOD_NAMES)
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
@@ -209,6 +227,33 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --seed ")
         assert not out_dir.exists()
+
+    def test_empty_method_override_fails_before_any_data_is_read(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        # An explicitly empty --method overrides the file's methods as an
+        # empty "methods" value in the file would, and fails the same way.
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read")
+
+        monkeypatch.setattr(harness, "load_input_dataset", no_data)
+        argv = ["run", "--config", str(config_file), "--method", "", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: methods must name at least one strategy\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_data_dir_override_clears_the_config_source(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read")
+
+        monkeypatch.setattr(harness, "load_dataset", no_data)
+        cfg = tmp_path / "dir.json"
+        cfg.write_text(json.dumps({"data.dir": str(data_dir)}))
+        argv = ["run", "--config", str(cfg), "--data-dir", "", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "no input data" in capsys.readouterr().err
 
     def test_seed_override_changes_data(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
