@@ -13,6 +13,7 @@ from .data_io import DataFormatError, atomic_write_text, write_batch_file
 from .harness import (
     PROJECTION_VIEWS,
     export_projections,
+    export_report,
     load_input_dataset,
     report_from_json_dict,
     report_to_csv,
@@ -93,7 +94,6 @@ def _cmd_normalize(args) -> int:
     normalized = normalize_dataset(dataset)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for bid in normalized.batch_ids:
             write_batch_file(out_dir / f"batch{bid}.dat", normalized.batch(bid))
         print(f"wrote {len(normalized.batch_ids)} batch file(s) to {out_dir}")
@@ -130,10 +130,8 @@ def _format_grid(grid) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args)
-    out_dir = Path(args.out)
-    report = run_experiment(cfg, out_dir=out_dir)
-    csv_path, json_path = out_dir / "report.csv", out_dir / "report.json"
+    report = run_experiment(_config(args))
+    csv_path, json_path = export_report(report, args.out)
     print(_format_grid(report.grid))
     print(f"wrote {csv_path} and {json_path}")
     return 0

@@ -396,7 +396,6 @@ def _write_entry(entry: Path, key: bytes, columns: tuple[np.ndarray, ...]) -> No
             np.save(fh, array, allow_pickle=False)
 
     try:
-        entry.parent.mkdir(exist_ok=True)
         atomic_write(entry, write, mode="wb")
     except OSError:
         pass
@@ -493,8 +492,10 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 def atomic_write(path: Path | str, write: Callable[[IO], object], mode: str = "w") -> None:
     """Call ``write`` on a unique sibling temp file opened with ``mode``, then
     rename it over ``path``, so readers never see partials and concurrent
-    writers to one path never share a temp file."""
+    writers to one path never share a temp file.  Missing parent directories
+    are made first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, mode) as fh:

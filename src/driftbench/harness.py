@@ -3,16 +3,16 @@
 ``run_experiment`` evaluates each requested strategy on batches 2..N with
 labels drawn only from batch 1, and reports batch 1 itself as a marked
 training-reference row.  Reports serialize to CSV (one row per method/batch
-cell) and JSON (grid plus the resolved config and dataset provenance); both
-are written atomically and are byte-stable across reruns, except for the
-JSON ``created_at`` stamp.
+cell) and JSON (grid plus the resolved config and dataset provenance).
+``run_experiment`` only computes; its caller writes the report with
+``export_report``.  Both files are written atomically, and a rerun of one
+config writes them byte for byte the same.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
@@ -65,7 +65,6 @@ class EvalReport:
     grid: dict[tuple[str, int], Cell]
     config_echo: dict
     provenance: dict
-    created_at: str | None = None
 
 
 def evaluate_predictions(
@@ -125,11 +124,10 @@ def check_config_against_data(cfg: RunConfig, dataset: Dataset) -> None:
             raise ConfigError(f"{method}.components={k} exceeds {what}")
 
 
-def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalReport:
+def run_experiment(cfg: RunConfig) -> EvalReport:
     """Execute the requested strategies and assemble the metric grid.
 
-    Batch 1 is scored as a training-reference row beside batches 2..N.  When
-    ``out_dir`` is given the CSV and JSON reports are written there as well.
+    Batch 1 is scored as a training-reference row beside batches 2..N.
     """
     dataset = load_input_dataset(cfg)
     check_config_against_data(cfg, dataset)
@@ -172,7 +170,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
     grid = {}
     for name in cfg.methods:
         grid.update(evaluate_predictions(strategies[name](), labels))
-    report = EvalReport(
+    return EvalReport(
         grid=grid,
         config_echo=cfg.echo(),
         provenance={
@@ -180,11 +178,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path | str | None = None) -> EvalRep
             "code_version": __version__,
             "reference_batch_id": CALIBRATION_BATCH_ID,
         },
-        created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
-    if out_dir is not None:
-        export_report(report, out_dir)
-    return report
 
 
 def report_to_csv(report: EvalReport) -> str:
@@ -210,14 +204,11 @@ def report_to_json_dict(report: EvalReport) -> dict:
                 "macro_f1": cell.macro_f1,
             }
         )
-    doc = {
+    return {
         "grid": rows,
         "config": report.config_echo,
         "provenance": report.provenance,
     }
-    if report.created_at is not None:
-        doc["created_at"] = report.created_at
-    return doc
 
 
 def report_from_json_dict(doc) -> EvalReport:
@@ -238,13 +229,12 @@ def report_from_json_dict(doc) -> EvalReport:
         raise ValueError(f"report has no key {exc.args[0]!r}") from None
     except TypeError:
         raise ValueError("report has a malformed grid row, config or provenance") from None
-    return EvalReport(grid, config_echo, provenance, created_at=doc.get("created_at"))
+    return EvalReport(grid, config_echo, provenance)
 
 
 def export_report(report: EvalReport, out_dir: Path | str) -> tuple[Path, Path]:
     """Write report.csv and report.json into out_dir; returns both paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
     atomic_write_text(csv_path, report_to_csv(report))
@@ -299,7 +289,5 @@ def export_projections(dataset: Dataset, which: str, out_path: Path | str) -> Pa
     lines = ["batch_id,label,x,y,clipped"]
     lines += [f"{b},{lab},{x:.10g},{y:.10g},{c}" for b, lab, x, y, c in rows]
     out_path = Path(out_path)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, "\n".join(lines) + "\n")
     return out_path

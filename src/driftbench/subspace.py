@@ -98,8 +98,8 @@ def covariance(samples: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("covariance needs a non-empty (n, D) matrix")
     Xc = X - X.mean(axis=0)
-    C = (Xc.T @ Xc) / X.shape[0]
-    return 0.5 * (C + C.T)
+    # numpy computes Xc.T @ Xc as a symmetric rank-k update: exactly symmetric.
+    return (Xc.T @ Xc) / X.shape[0]
 
 
 def scatter_matrices(samples: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +125,8 @@ def scatter_matrices(samples: np.ndarray, labels) -> tuple[np.ndarray, np.ndarra
         s_w += centered.T @ centered
         diff = mu_c - grand_mean
         s_b += Xc.shape[0] * np.outer(diff, diff)
-    s_w /= n
-    s_b /= n
-    return 0.5 * (s_w + s_w.T), 0.5 * (s_b + s_b.T)
+    # Each term, a symmetric rank-k update or an outer product, is exactly symmetric.
+    return s_w / n, s_b / n
 
 
 def _sorted_eig(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +240,8 @@ def _deflated_fit(
     if deflate:
         Q = _complement_basis(diff)
         M = Q.T @ A @ Q
-        # A, a sum of symmetrised matrices, is exactly symmetric; Qᵀ A Q is not.
+        # A, a sum of exactly symmetric covariance and scatter terms, is
+        # exactly symmetric; Qᵀ A Q is not.
         M = 0.5 * (M + M.T)
         vals, vecs = _sorted_eig(M, k)
         W = Q @ vecs

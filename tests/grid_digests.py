@@ -20,10 +20,9 @@ temporary directory and runs 12 configs:
   at ``components`` 60, where every target takes an eigen fit
 
 Each line holds a config's name, the SHA-256 of its ``report.csv``, the
-SHA-256 of its ``report.json`` without ``created_at`` and the temporary
-``data.dir``, and its classifier fits and L-BFGS iterations.  Three more
-lines hold the SHA-256 of the stand-in's ``pca``, ``lda`` and
-``lda-per-batch`` projection CSVs.  BLAS
+SHA-256 of its ``report.json`` without the temporary ``data.dir``, and its
+classifier fits and L-BFGS iterations.  Three more lines hold the SHA-256 of
+the stand-in's ``pca``, ``lda`` and ``lda-per-batch`` projection CSVs.  BLAS
 runs on one thread unless the environment sets it, because the thread count
 can move the last digits of the projections.  The file name keeps pytest
 from collecting it.
@@ -101,7 +100,6 @@ def run_counted(keys: dict) -> tuple[str, str, int, int]:
     finally:
         adaptation.train_with_config = train
     doc = report_to_json_dict(report)
-    doc.pop("created_at", None)
     doc["config"].pop("data.dir", None)  # the stand-in's temporary directory
     as_json = json.dumps(doc, sort_keys=True, indent=2)
     return sha256(report_to_csv(report)), sha256(as_json), len(iters), sum(iters)

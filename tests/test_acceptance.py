@@ -8,7 +8,6 @@ Each criterion prints a single `ACCEPTANCE <id>: PASS` line on success; run
 with ``pytest tests/test_acceptance.py -v -rA`` to see them.
 """
 
-import json
 import time
 
 import numpy as np
@@ -295,7 +294,7 @@ class TestProperties:
 
 
 class TestDeterminism:
-    def test_c8_reruns_byte_identical_modulo_timestamp(self, tmp_path):
+    def test_c8_reruns_byte_identical(self, tmp_path):
         cfg = resolve_config(
             {
                 "synthetic.enabled": True,
@@ -311,15 +310,7 @@ class TestDeterminism:
                 "classifier.tol": 1e-5,
             }
         )
-        paths = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            csv_path, json_path = export_report(run_experiment(cfg), out)
-            paths.append((csv_path, json_path))
-        assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
-        da = json.loads(paths[0][1].read_text())
-        db = json.loads(paths[1][1].read_text())
-        da.pop("created_at")
-        db.pop("created_at")
-        assert da == db
-        report_pass(8, "full five-method rerun byte-identical modulo timestamp")
+        a, b = (export_report(run_experiment(cfg), tmp_path / name) for name in ("a", "b"))
+        for path_a, path_b in zip(a, b):
+            assert path_a.read_bytes() == path_b.read_bytes()
+        report_pass(8, "full five-method rerun writes byte-identical report.csv and report.json")

@@ -14,6 +14,7 @@ import driftbench
 from driftbench import cli, data_io, harness
 from driftbench.adaptation import METHOD_NAMES
 from driftbench.cli import _format_grid, main
+from driftbench.config import resolve_config
 from driftbench.data_io import SyntheticConfig, generate_synthetic, load_dataset, write_batch_file
 from driftbench.harness import Cell
 
@@ -85,6 +86,19 @@ class TestProject:
         assert lines[0] == "batch_id,label,x,y,clipped"
         assert len(lines) == 1 + 3 * 15 * 3
 
+    def test_pca_of_unnormalized_data_when_normalize_is_disabled(self, tmp_path):
+        raw_cfg = tmp_path / "raw.json"
+        raw_cfg.write_text(json.dumps({**SYNTH_CFG, "normalize.enabled": False}))
+        scaled_cfg = tmp_path / "scaled.json"
+        scaled_cfg.write_text(json.dumps(SYNTH_CFG))
+        raw, scaled, expected = tmp_path / "raw.csv", tmp_path / "scaled.csv", tmp_path / "e.csv"
+        for cfg, out in ((raw_cfg, raw), (scaled_cfg, scaled)):
+            assert main(["project", "--method", "pca", "--config", str(cfg), "--out", str(out)]) == 0
+        dataset = generate_synthetic(resolve_config(SYNTH_CFG).synthetic)
+        harness.export_projections(dataset, "pca", expected)
+        assert raw.read_bytes() == expected.read_bytes()
+        assert raw.read_bytes() != scaled.read_bytes()
+
     def test_requires_out(self, config_file, capsys):
         with pytest.raises(SystemExit) as info:
             main(["project", "--method", "pca", "--config", str(config_file)])
@@ -143,6 +157,10 @@ def test_readme_run_config_runs(tmp_path, monkeypatch):
     assert (out_dir / "report.csv").exists()
     doc = json.loads((out_dir / "report.json").read_text())
     assert {row["method"] for row in doc["grid"]} == set(METHOD_NAMES)
+    # The config's selftrain.threshold is low enough that self-training adds points.
+    scores = {(r["method"], r["batch_id"]): (r["accuracy"], r["macro_f1"]) for r in doc["grid"]}
+    batches = sorted({b for _, b in scores})
+    assert [scores[("selftrain", b)] for b in batches] != [scores[("none", b)] for b in batches]
 
 
 def test_readme_flag_table_matches_the_parser():
@@ -171,16 +189,21 @@ class TestRun:
         printed = capsys.readouterr().out
         assert "none" in printed and "accuracy" in printed
 
-    def test_rerun_is_byte_identical_modulo_timestamp(self, config_file, tmp_path):
+    def test_rerun_is_byte_identical(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(config_file), "--out", str(a)]) == 0
         assert main(["run", "--config", str(config_file), "--out", str(b)]) == 0
-        assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
-        da = json.loads((a / "report.json").read_text())
-        db = json.loads((b / "report.json").read_text())
-        da.pop("created_at")
-        db.pop("created_at")
-        assert da == db
+        for name in ("report.csv", "report.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_normalize_disabled_runs_on_unnormalized_data(self, config_file, tmp_path):
+        raw_cfg = tmp_path / "raw.json"
+        raw_cfg.write_text(json.dumps({**SYNTH_CFG, "normalize.enabled": False}))
+        raw, scaled = tmp_path / "raw", tmp_path / "scaled"
+        assert main(["run", "--config", str(raw_cfg), "--out", str(raw)]) == 0
+        assert main(["run", "--config", str(config_file), "--out", str(scaled)]) == 0
+        assert json.loads((raw / "report.json").read_text())["config"]["normalize.enabled"] is False
+        assert (raw / "report.csv").read_text() != (scaled / "report.csv").read_text()
 
     def test_method_takes_a_comma_list(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -281,11 +304,8 @@ def test_warm_cache_run_parses_nothing_and_reports_the_same(standin_dir, tmp_pat
     calls.clear()
     assert main(["run", "--data-dir", str(data), "--out", str(warm)]) == 0
     assert calls == []
-    assert (cold / "report.csv").read_bytes() == (warm / "report.csv").read_bytes()
-    docs = [json.loads((d / "report.json").read_text()) for d in (cold, warm)]
-    for doc in docs:
-        doc.pop("created_at")
-    assert docs[0] == docs[1]
+    for name in ("report.csv", "report.json"):
+        assert (cold / name).read_bytes() == (warm / name).read_bytes()
 
 
 class TestReport:
@@ -395,6 +415,14 @@ class TestReport:
         assert written == [str(target)]
         assert target.read_text() == table
         assert capsys.readouterr().out == f"wrote {target}\n"
+
+    def test_out_makes_a_missing_directory(self, config_file, tmp_path):
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--method", "none", "--out", str(out_dir)])
+        target = tmp_path / "missing" / "dir" / "r.csv"
+        argv = ["report", "--report-file", str(out_dir / "report.json"), "--format", "csv"]
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_text() == (out_dir / "report.csv").read_text()
 
     def test_closed_stdout_pipe_is_not_an_error(self, config_file, tmp_path):
         # The child's import takes far longer than closing the pipe, so its

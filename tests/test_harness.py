@@ -76,16 +76,12 @@ class TestRunExperiment:
         assert report.provenance["reference_batch_id"] == 1
         assert len(report.provenance["dataset_checksum"]) == 64
 
-    def test_deterministic_modulo_timestamp(self):
+    def test_deterministic(self, tmp_path):
         cfg = synth_config()
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
-        assert report_to_csv(a) == report_to_csv(b)
-        da = report_to_json_dict(a)
-        db = report_to_json_dict(b)
-        da.pop("created_at")
-        db.pop("created_at")
-        assert da == db
+        a = export_report(run_experiment(cfg), tmp_path / "a")
+        b = export_report(run_experiment(cfg), tmp_path / "b")
+        for path_a, path_b in zip(a, b):
+            assert path_a.read_bytes() == path_b.read_bytes()
 
     @pytest.mark.parametrize(
         "method, fits",
@@ -244,6 +240,15 @@ class TestReportSerialization:
         doc = json.loads(json_path.read_text())
         assert doc["config"]["methods"] == "none"
         assert report_from_json_dict(doc) == report
+
+    def test_json_holds_no_clock_and_an_older_stamped_report_still_reads(self, tmp_path):
+        report = run_experiment(synth_config(methods="none"))
+        doc = report_to_json_dict(report)
+        assert set(doc) == {"grid", "config", "provenance"}
+        # Reports written before the stamp was dropped carry a top-level created_at.
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**doc, "created_at": "2026-01-01T00:00:00+00:00"}))
+        assert report_from_json_dict(json.loads(path.read_text())) == report
 
 
 def tiny_projection_dataset():

@@ -69,6 +69,21 @@ class TestScatter:
             assert np.abs(s_w + s_b - C).max() < 1e-12 * scale
 
 
+def test_covariance_and_scatter_are_exactly_symmetric():
+    # Neither function symmetrises its result: numpy's Xc.T @ Xc and
+    # np.outer(d, d) are symmetric bit for bit, in any memory layout.
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        n, d = int(rng.integers(1, 400)), int(rng.integers(1, 140))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 50) + rng.normal(size=d)
+        y = rng.integers(0, 4, size=n)
+        for view in (X, np.asfortranarray(X), X[:, ::-1]):
+            C = covariance(view)
+            s_w, s_b = scatter_matrices(view, y)
+            for M in (C, s_w, s_b):
+                assert np.array_equal(M, M.T)
+
+
 class TestPca:
     def test_collinear_points(self):
         t = np.array([[-1.0], [0.5], [2.0], [-0.25]])

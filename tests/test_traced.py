@@ -49,4 +49,6 @@ def test_traced_run_records_a_span_for_every_strategy(tmp_path):
     assert STRATEGY_SPANS <= names
     # perfbench's traced run fails on any of these that left no span
     assert RUN_LAYERS | {"data_io.generate"} <= names
+    # cli writes the report through its own name for export_report, which the tracer swaps too
+    assert "harness.report_write" in names
     assert doc["counters"]["classifier.fits"] > 0
