@@ -1,112 +1,10 @@
-"""Benchmark harness comparing drift-handling strategies for batched sensor data."""
+"""Benchmark harness comparing drift-handling strategies for batched sensor data.
+
+Each public name is imported from the module that owns it: ``data_io`` (batch
+files, the parse cache, synthetic data), ``preprocess`` (normalization),
+``subspace`` (PCA, LDA, DRCA, LDSP), ``classifier`` (logistic regression),
+``metrics``, ``adaptation`` (the five strategies), ``config``, ``harness``
+(the grid and its report files) and ``cli`` (the ``driftbench`` command).
+"""
 
 __version__ = "0.1.0"
-
-from .data_io import (
-    Batch,
-    DataFormatError,
-    Dataset,
-    SyntheticConfig,
-    format_sample_line,
-    generate_synthetic,
-    load_dataset,
-    parse_sample_line,
-)
-from .preprocess import (
-    NormalizationParams,
-    fit_minmax,
-    normalize_dataset,
-)
-from .subspace import (
-    DrcaConfig,
-    LdspConfig,
-    LinearProjection,
-    covariance,
-    drca_fit,
-    lda_fit,
-    ldsp_fit,
-    pca_fit,
-    project,
-    scatter_matrices,
-)
-from .classifier import (
-    ClassifierConfig,
-    LogRegModel,
-    predict,
-    train,
-)
-from .metrics import accuracy, f1_score
-from .adaptation import (
-    LabelStore,
-    PredictionSet,
-    SelfTrainConfig,
-    TargetBatch,
-    run_complement,
-    run_means_correction,
-    run_no_adaptation,
-    run_self_training,
-    run_subspace_method,
-    split_calibration,
-    strip_labels,
-    train_calibration_model,
-)
-from .config import ConfigError, RunConfig, load_run_config, resolve_config
-from .harness import (
-    Cell,
-    EvalReport,
-    export_projections,
-    export_report,
-    run_experiment,
-)
-
-__all__ = [
-    "__version__",
-    "Batch",
-    "Cell",
-    "ClassifierConfig",
-    "ConfigError",
-    "DataFormatError",
-    "Dataset",
-    "DrcaConfig",
-    "EvalReport",
-    "LabelStore",
-    "LdspConfig",
-    "LinearProjection",
-    "LogRegModel",
-    "NormalizationParams",
-    "PredictionSet",
-    "RunConfig",
-    "SelfTrainConfig",
-    "SyntheticConfig",
-    "TargetBatch",
-    "accuracy",
-    "covariance",
-    "drca_fit",
-    "export_projections",
-    "export_report",
-    "f1_score",
-    "fit_minmax",
-    "format_sample_line",
-    "generate_synthetic",
-    "lda_fit",
-    "ldsp_fit",
-    "load_dataset",
-    "load_run_config",
-    "normalize_dataset",
-    "parse_sample_line",
-    "pca_fit",
-    "predict",
-    "project",
-    "resolve_config",
-    "run_complement",
-    "run_experiment",
-    "run_means_correction",
-    "run_no_adaptation",
-    "run_self_training",
-    "run_subspace_method",
-    "scatter_matrices",
-    "split_calibration",
-    "strip_labels",
-    "train",
-    "train_calibration_model",
-]

@@ -31,7 +31,6 @@ first, then the last eigen fit's model lifted back to feature space.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -40,8 +39,6 @@ import numpy as np
 from .classifier import ClassifierConfig, LogRegModel, predict, train_with_config
 from .data_io import CALIBRATION_BATCH_ID, Batch, Dataset
 from .subspace import DrcaConfig, LdspConfig, deflation_threshold, drca_fit, ldsp_fit, project
-
-logger = logging.getLogger(__name__)
 
 METHOD_NAMES = ("none", "means", "drca", "ldsp", "selftrain")
 

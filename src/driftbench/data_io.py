@@ -15,7 +15,6 @@ import math
 import os
 import re
 import struct
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +63,7 @@ class ParseStats:
 class Batch:
     """One batch as read-only columns, validated once on construction.
 
-    ``features`` is (n, D) and finite, ``labels`` (n,) with every label >= 1,
+    ``features`` is (n, D) and finite, ``labels`` (n,) integers, each >= 1,
     and ``concentrations`` (n,) with each value positive or NaN (absent);
     passing ``None`` marks every concentration absent.
     """
@@ -82,7 +81,10 @@ class Batch:
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
         n = X.shape[0]
-        y = np.asarray(self.labels, dtype=int).view()
+        given = np.asarray(self.labels)
+        y = given.astype(int, copy=False).view()
+        if not np.array_equal(y, given):
+            raise ValueError("labels must be integers")
         if y.shape != (n,):
             raise ValueError(f"labels shape {y.shape} does not match {n} feature rows")
         if n and y.min() < 1:
@@ -496,14 +498,13 @@ def atomic_write(path: Path | str, write: Callable[[IO], object], mode: str = "w
     are made first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(6).hex()}.tmp")
+    # Created 0o666 like a plain open(), so the kernel applies the umask.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             write(fh)
-        # mkstemp creates the file 0600; give it the mode a plain open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

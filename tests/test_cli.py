@@ -163,6 +163,24 @@ def test_readme_run_config_runs(tmp_path, monkeypatch):
     assert [scores[("selftrain", b)] for b in batches] != [scores[("none", b)] for b in batches]
 
 
+def test_readme_library_block_runs(standin_dir, tmp_path):
+    # The Library section's example, run as written on the stand-in data.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert block.count('"/data/gas"') == 1
+    script = tmp_path / "library.py"
+    script.write_text(block.replace('"/data/gas"', repr(str(standin_dir))))
+    src = str(Path(driftbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert [int(bid) for bid, _ in rows] == load_dataset(standin_dir).batch_ids[1:]
+    assert all(0.0 <= float(acc) <= 1.0 for _, acc in rows)
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]

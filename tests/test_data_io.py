@@ -533,17 +533,16 @@ class TestCache:
         load_batch_file(path, 1)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    @pytest.mark.parametrize("step", ["open", "replace"])
     def test_failed_entry_write_loads_and_leaves_nothing(self, tmp_path, monkeypatch, step):
-        # A read-only directory fails at mkstemp; a full disk may fail later,
+        # A read-only directory fails at open; a full disk may fail later,
         # once the temp file exists.  Faked, so the test runs as any user.
         def fail(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
-        where = data_io.tempfile if step == "mkstemp" else data_io.os
         path = tmp_path / "batch1.dat"
         want = write_random_batch(path, seed=7)
-        monkeypatch.setattr(where, step, fail)
+        monkeypatch.setattr(data_io.os, step, fail)
         batch, stats = load_batch_file(path, 1)
         monkeypatch.undo()
         assert_same_columns(batch, want)
@@ -613,10 +612,30 @@ class TestTypes:
         with pytest.raises(ValueError, match="2-D"):
             Batch(1, np.zeros(4), [1])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [1.7, 2.2],
+            [1.0, 2.5],
+            ["1", "2"],
+            pytest.param([np.nan, 1.0], marks=pytest.mark.filterwarnings("ignore:invalid value")),
+        ],
+    )
+    def test_batch_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Batch(1, np.zeros((2, 2)), labels)
+
+    def test_batch_accepts_integral_float_labels(self):
+        batch = Batch(1, np.zeros((2, 2)), [1.0, 2.0])
+        assert batch.labels.dtype == np.dtype(int)
+        assert batch.labels.tolist() == [1, 2]
+
     def test_batch_columns_are_read_only_and_not_restacked(self):
         source = np.zeros((2, 3))
-        batch = Batch(1, source, [1, 2], [np.nan, 4.0])
+        labels = np.array([1, 2])
+        batch = Batch(1, source, labels, [np.nan, 4.0])
         assert np.shares_memory(batch.features, source)
+        assert np.shares_memory(batch.labels, labels)
         for column in (batch.features, batch.labels, batch.concentrations):
             with pytest.raises(ValueError):
                 column[0] = 1
@@ -725,3 +744,17 @@ class TestAtomicWrite:
         finally:
             os.umask(umask)
         assert (tmp_path / "report.csv").stat().st_mode & 0o777 == 0o644
+
+    def test_mode_follows_umask_without_changing_it(self, tmp_path, monkeypatch):
+        # Setting the umask to read it would change it for every thread at once.
+        def fail(*args):
+            raise AssertionError("os.umask called")
+
+        umask = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", fail)
+            atomic_write_text(tmp_path / "report.csv", "a\n")
+        finally:
+            monkeypatch.undo()
+            os.umask(umask)
+        assert (tmp_path / "report.csv").stat().st_mode & 0o777 == 0o666 & ~0o027

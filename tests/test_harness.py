@@ -1,10 +1,12 @@
 import json
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftbench
 from driftbench import adaptation, harness
 from driftbench.config import ConfigError, resolve_config
 from driftbench.data_io import Batch, DataFormatError, Dataset, write_batch_file
@@ -249,6 +251,16 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         path.write_text(json.dumps({**doc, "created_at": "2026-01-01T00:00:00+00:00"}))
         assert report_from_json_dict(json.loads(path.read_text())) == report
+
+    def test_code_version_is_the_project_version(self):
+        # report.json's code_version is driftbench.__version__; pyproject.toml
+        # holds the version that gets installed.  Python 3.10 has no tomllib.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        version = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
+        assert version == driftbench.__version__
+        report = run_experiment(synth_config(methods="none"))
+        assert report_to_json_dict(report)["provenance"]["code_version"] == version
 
 
 def tiny_projection_dataset():
