@@ -8,6 +8,12 @@ import os
 import sys
 from pathlib import Path
 
+# One BLAS thread, set before numpy loads, so the output bytes do not depend
+# on the core count; a value the user sets still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .config import ConfigError, load_run_config
 from .data_io import DataFormatError, atomic_write_text, write_batch_file
 from .harness import (

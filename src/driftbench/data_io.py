@@ -82,6 +82,9 @@ class Batch:
             raise ValueError("features must be finite")
         n = X.shape[0]
         given = np.asarray(self.labels)
+        # a float outside int64's range (NaN and inf included) cannot be cast cleanly
+        if given.dtype.kind == "f" and not np.all(np.abs(given) < 2.0**63):
+            raise ValueError("labels must be integers")
         y = given.astype(int, copy=False).view()
         if not np.array_equal(y, given):
             raise ValueError("labels must be integers")

@@ -489,6 +489,35 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_projections_do_not_depend_on_the_blas_thread_count(standin_dir, tmp_path):
+    # The command pins one BLAS thread unless the caller sets a count.  With
+    # the variables unset, BLAS would take one thread per core, and on 2 or
+    # more cores the LDA projections differed in their last digits.  Importing
+    # cli sets the variables in this process too, so each child's environment
+    # is built here.
+    src = str(Path(driftbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    envs = {
+        "unset": dict(unset, PYTHONPATH=path),
+        "one": dict(unset, PYTHONPATH=path, **dict.fromkeys(BLAS_THREAD_VARS, "1")),
+    }
+    for method in ("lda", "lda-per-batch"):
+        outs = {}
+        for name, env in envs.items():
+            outs[name] = tmp_path / f"{method}-{name}.csv"
+            argv = ["project", "--method", method, "--data-dir", str(standin_dir)]
+            subprocess.run(
+                [sys.executable, "-m", "driftbench.cli", *argv, "--out", str(outs[name])],
+                env=env,
+                check=True,
+            )
+        assert outs["unset"].read_bytes() == outs["one"].read_bytes(), method
+
+
 def test_run_leaves_numpy_ma_unloaded(config_file, tmp_path):
     # np.unique imports numpy.ma on its first call (numpy 2.4), which a run
     # pays for in import time and memory and does not need.  numpy 1.x

@@ -618,9 +618,12 @@ class TestTypes:
             [1.7, 2.2],
             [1.0, 2.5],
             ["1", "2"],
-            pytest.param([np.nan, 1.0], marks=pytest.mark.filterwarnings("ignore:invalid value")),
+            [np.nan, 1.0],
+            [np.inf, 1.0],
+            [1e30, 1.0],
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_rejects_labels_that_are_not_integers(self, labels):
         with pytest.raises(ValueError, match="labels must be integers"):
             Batch(1, np.zeros((2, 2)), labels)

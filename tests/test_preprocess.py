@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from driftbench.data_io import Batch
-from driftbench.preprocess import (
-    NormalizationParams,
-    apply_minmax_matrix,
-    fit_minmax,
-    normalize_batch,
-    normalize_dataset,
-)
+from driftbench.data_io import Batch, Dataset
+from driftbench.preprocess import apply_minmax_matrix, fit_minmax, normalize_dataset
 
 
 def make_batch(rows, batch_id=1):
@@ -18,13 +12,13 @@ def make_batch(rows, batch_id=1):
 
 class TestMinMax:
     def test_fit_exact_extrema(self):
-        params = fit_minmax(make_batch([[2.0, -1.0], [6.0, 3.0]]))
-        assert np.array_equal(params.min, [2.0, -1.0])
-        assert np.array_equal(params.max, [6.0, 3.0])
+        lo, hi = fit_minmax(make_batch([[2.0, -1.0], [6.0, 3.0]]))
+        assert np.array_equal(lo, [2.0, -1.0])
+        assert np.array_equal(hi, [6.0, 3.0])
 
     def test_fit_constant_feature(self):
-        params = fit_minmax(make_batch([[5.0, 1.0], [5.0, 2.0]]))
-        assert params.min[0] == params.max[0] == 5.0
+        lo, hi = fit_minmax(make_batch([[5.0, 1.0], [5.0, 2.0]]))
+        assert lo[0] == hi[0] == 5.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -33,8 +27,7 @@ class TestMinMax:
     def test_own_batch_lands_in_unit_interval(self):
         rng = np.random.default_rng(0)
         batch = make_batch(rng.normal(size=(40, 7)) * 50)
-        params = fit_minmax(batch)
-        out = normalize_batch(params, batch)
+        out = normalize_dataset(Dataset({1: batch})).batch(1)
         assert out.features.min() >= 0.0 and out.features.max() <= 1.0
         assert np.array_equal(out.labels, batch.labels) and out.batch_id == batch.batch_id
 
@@ -68,17 +61,13 @@ class TestMinMax:
         rng = np.random.default_rng(4)
         calibration = rng.normal(size=(30, 5)) * 40
         calibration[:, 2] = 7.5  # a zero-span feature
-        params = fit_minmax(make_batch(calibration))
+        lo, hi = fit_minmax(make_batch(calibration))
         X = rng.normal(size=(50, 5)) * 80
-        span = params.max - params.min
-        expected = np.where(span > 0, (X - params.min) / np.where(span > 0, span, 1.0), 0.0)
-        out = apply_minmax_matrix(params, X)
+        span = hi - lo
+        expected = np.where(span > 0, (X - lo) / np.where(span > 0, span, 1.0), 0.0)
+        out = apply_minmax_matrix((lo, hi), X)
         assert out.tobytes() == expected.tobytes()
         assert np.array_equal(out[:, 2], np.zeros(50))
-
-    def test_params_validate_ordering(self):
-        with pytest.raises(ValueError, match="min"):
-            NormalizationParams(np.array([1.0]), np.array([0.0]))
 
     def test_normalize_dataset_keeps_structure(self, small_synth):
         out = normalize_dataset(small_synth)
