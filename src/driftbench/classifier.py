@@ -2,10 +2,11 @@
 
 Trained by deterministic full-batch L-BFGS (Liu & Nocedal, 1989) with
 Armijo backtracking from a unit step: no stochastic seed enters the
-benchmark, and identical inputs yield bit-identical weights.  The objective
-is
+benchmark, and identical inputs yield bit-identical weights.  One fit,
+``train_with_config``, takes a ``ClassifierConfig``; on ``n`` training
+samples its objective is
 
-    mean cross-entropy(softmax(W x + b), y)  +  reg_strength * ||W||_F^2
+    mean cross-entropy(softmax(W x + b), y)  +  (reg_strength / n) * ||W||_F^2
 
 with the bias column excluded from the penalty.  It is strictly convex in
 ``W``, and the biases enter only through their differences, so the fitted
@@ -172,23 +173,17 @@ def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
     return -q
 
 
-def train(
-    X: np.ndarray,
-    y,
-    reg_strength: float,
-    tol: float = ClassifierConfig.tol,
-    max_iter: int = ClassifierConfig.max_iter,
-    init_weights: np.ndarray | None = None,
+def train_with_config(
+    X: np.ndarray, y, config: ClassifierConfig, init_weights: np.ndarray | None = None
 ) -> LogRegModel:
-    """Fit by L-BFGS until the gradient's 2-norm drops to ``tol``, the loss
-    stalls, or ``max_iter`` steps elapse; a stop short of ``tol`` warns.
+    """Fit by L-BFGS until the gradient's 2-norm drops to ``config.tol``, the
+    loss stalls, or ``config.max_iter`` steps elapse; a stop short of ``tol`` warns.
 
-    The fit starts from zero weights, or from ``init_weights`` (a
-    (C, k+1) matrix, e.g. an earlier model's ``weights``) when given; the
-    objective is strictly convex, so the start changes only the iterations
-    spent.  ``reg_strength`` is the literal coefficient on ||W||_F^2; the
-    loss term is a per-sample mean, so duplicating the training set leaves
-    the optimization problem unchanged.
+    The coefficient on ||W||_F^2 is ``config.reg_strength / n`` for ``n``
+    training samples, beside a per-sample mean loss.  The fit starts from
+    zero weights, or from ``init_weights`` (a (C, k+1) matrix, e.g. an
+    earlier model's ``weights``) when given; the objective is strictly
+    convex, so the start changes only the iterations spent.
 
     L-BFGS runs on the centred features scaled to unit RMS,
     ``(X - mu) / s`` (``mu`` the column means, ``s`` the RMS of the centred
@@ -211,8 +206,6 @@ def train(
         raise ValueError(f"labels shape {y.shape} does not match {X.shape[0]} samples")
     if not np.all(np.isfinite(X)):
         raise ValueError("training features must be finite")
-    if reg_strength <= 0:
-        raise ValueError(f"reg_strength must be > 0, got {reg_strength}")
     class_ids = sorted_unique(y)
     n, k = X.shape
     C = class_ids.shape[0]
@@ -221,6 +214,7 @@ def train(
     if n < C:
         raise ValueError(f"need at least as many samples ({n}) as classes ({C})")
     y_idx = np.searchsorted(class_ids, y)
+    reg_strength, tol = config.reg_strength / n, config.tol
 
     if init_weights is None:
         params = np.zeros((C, k + 1))
@@ -242,7 +236,7 @@ def train(
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     stalled = 0
     n_iter = 0
-    while n_iter < max_iter and stalled < STALL_STEPS:
+    while n_iter < config.max_iter and stalled < STALL_STEPS:
         if _uncentred_grad_norm(grad, mu, scale, C) <= tol:
             break
         direction = _lbfgs_direction(grad, pairs)
@@ -285,23 +279,6 @@ def train(
         class_ids=class_ids,
         n_iter=n_iter,
         converged=converged,
-    )
-
-
-def train_with_config(
-    X: np.ndarray, y, config: ClassifierConfig, init_weights: np.ndarray | None = None
-) -> LogRegModel:
-    """Train with the config's per-sample regularization scale applied."""
-    n = np.asarray(X).shape[0]
-    if n < 1:
-        raise ValueError("cannot train on an empty matrix")
-    return train(
-        X,
-        y,
-        config.reg_strength / n,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        init_weights=init_weights,
     )
 
 

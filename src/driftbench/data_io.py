@@ -142,6 +142,15 @@ class Dataset:
         return self.batches[CALIBRATION_BATCH_ID].features.shape[1]
 
 
+def _number(convert, text: str):
+    """``convert(text)`` for ``int`` or ``float``, which also take ``_``
+    separators and non-ASCII digits; the line grammar does not, so those
+    raise ValueError here as any other unparseable text does."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return convert(text)
+
+
 def _parse_head(token: str, at: str) -> tuple[int, float]:
     """Parse a line's ``label[;concentration]`` head; both parsers use it.
 
@@ -149,7 +158,7 @@ def _parse_head(token: str, at: str) -> tuple[int, float]:
     """
     lab_s, sep, conc_s = token.partition(";")
     try:
-        label = int(lab_s)
+        label = _number(int, lab_s)
     except ValueError:
         raise DataFormatError(f"{at}malformed label token '{token}'") from None
     if label not in GAS_LABELS:
@@ -157,7 +166,7 @@ def _parse_head(token: str, at: str) -> tuple[int, float]:
     if not sep:
         return label, math.nan
     try:
-        conc = float(conc_s)
+        conc = _number(float, conc_s)
     except ValueError:
         raise DataFormatError(f"{at}unparseable concentration in token '{token}'") from None
     if not math.isfinite(conc) or conc <= 0:
@@ -198,7 +207,7 @@ def parse_sample_line(
         if not sep:
             raise DataFormatError(f"{at}malformed feature token '{tok}'")
         try:
-            idx = int(idx_s)
+            idx = _number(int, idx_s)
         except ValueError:
             raise DataFormatError(f"{at}malformed feature index in token '{tok}'") from None
         if not 1 <= idx <= N_FEATURES:
@@ -210,7 +219,7 @@ def parse_sample_line(
                 f"{at}feature indices must be strictly increasing at token '{tok}'"
             )
         try:
-            val = float(val_s)
+            val = _number(float, val_s)
         except ValueError:
             raise DataFormatError(f"{at}unparseable value in token '{tok}'") from None
         if not math.isfinite(val):

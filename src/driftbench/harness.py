@@ -212,18 +212,29 @@ def report_to_json_dict(report: EvalReport) -> dict:
 
 
 def report_from_json_dict(doc) -> EvalReport:
-    """Rebuild a report from its JSON form; a ValueError names what is missing."""
+    """Rebuild a report from its JSON form; a ValueError names what is missing
+    or, for a bad grid row, the row's index and key."""
     if not isinstance(doc, dict):
         raise ValueError("report is not a JSON object")
     try:
-        grid = {
-            (row["method"], int(row["batch_id"])): Cell(
-                accuracy=float(row["accuracy"]),
-                macro_f1=float(row["macro_f1"]),
-                n=int(row["n"]),
+        grid = {}
+        for i, row in enumerate(doc["grid"]):
+            method, batch_id, n = row["method"], row["batch_id"], row["n"]
+            scores = {key: row[key] for key in ("accuracy", "macro_f1")}
+            if not isinstance(method, str):
+                raise ValueError(f"grid row {i}: 'method' must be a string, got {method!r}")
+            for key, value in (("batch_id", batch_id), ("n", n)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"grid row {i}: {key!r} must be an integer, got {value!r}")
+            for key, value in scores.items():
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not (number and 0 <= value <= 1):
+                    raise ValueError(f"grid row {i}: {key!r} must be in [0, 1], got {value!r}")
+            if (method, batch_id) in grid:
+                raise ValueError(f"grid row {i}: 'method' and 'batch_id' repeat an earlier row")
+            grid[(method, batch_id)] = Cell(
+                accuracy=float(scores["accuracy"]), macro_f1=float(scores["macro_f1"]), n=n
             )
-            for row in doc["grid"]
-        }
         config_echo, provenance = dict(doc["config"]), dict(doc["provenance"])
     except KeyError as exc:
         raise ValueError(f"report has no key {exc.args[0]!r}") from None

@@ -2,6 +2,13 @@ import os
 import sys
 from pathlib import Path
 
+# One BLAS thread, as the driftbench command runs, set before numpy loads so
+# in-process fits stop where the command's do on any core count; a value the
+# user sets still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from driftbench.classifier import (
     LogRegModel,
     _class_major_proba,
     predict,
-    train,
     train_with_config,
 )
 from driftbench.data_io import SyntheticConfig, generate_synthetic
@@ -32,7 +33,8 @@ class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
         y = np.array([1, 1, 2, 2])
-        model = train(X, y, reg_strength=1e-3, tol=1e-8, max_iter=2000)
+        config = ClassifierConfig(reg_strength=4e-3, tol=1e-8, max_iter=2000)
+        model = train_with_config(X, y, config)
         pred, _ = predict(model, X)
         assert np.array_equal(pred, y)
 
@@ -62,8 +64,13 @@ class TestTrain:
         X = rng.normal(size=(20, 4))
         y = rng.integers(1, 4, size=20)
         y[:3] = [1, 2, 3]
-        a = train(X, y, reg_strength=0.05, tol=1e-9, max_iter=3000)
-        b = train(np.vstack([X, X]), np.concatenate([y, y]), reg_strength=0.05, tol=1e-9, max_iter=3000)
+        # Twice the data with twice reg_strength: 2r / 2n == r / n exactly.
+        a = train_with_config(X, y, ClassifierConfig(reg_strength=1.0, tol=1e-9, max_iter=3000))
+        b = train_with_config(
+            np.vstack([X, X]),
+            np.concatenate([y, y]),
+            ClassifierConfig(reg_strength=2.0, tol=1e-9, max_iter=3000),
+        )
         assert np.allclose(a.weights, b.weights, atol=1e-6)
 
     def test_loss_non_increasing(self):
@@ -71,14 +78,19 @@ class TestTrain:
         X = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, size=40)
         y[:3] = [0, 1, 2]
-        model = train(X, y, reg_strength=0.01, tol=1e-10, max_iter=500)
+        config = ClassifierConfig(reg_strength=0.4, tol=1e-10, max_iter=500)
+        model = train_with_config(X, y, config)
         # Fits are deterministic, so the fit cut at m steps is the full fit's
-        # m-th iterate, and the objective along the path is read from them.
+        # m-th iterate, and the objective along the path is read from them;
+        # the path starts at zero weights.
         path = [
-            train(X, y, reg_strength=0.01, tol=1e-10, max_iter=m) for m in range(model.n_iter + 1)
+            train_with_config(X, y, replace(config, max_iter=m))
+            for m in range(1, model.n_iter + 1)
         ]
         assert np.array_equal(path[-1].weights, model.weights)
-        losses = np.array([logreg_objective(m.weights, X, y, 0.01) for m in path])
+        reg = config.reg_strength / len(y)
+        weights = [np.zeros_like(model.weights), *(m.weights for m in path)]
+        losses = np.array([logreg_objective(w, X, y, reg) for w in weights])
         # A step the line search accepts never raises the loss; the reference
         # objective on the uncentred weights rounds differently by ~1e-16.
         assert np.all(np.diff(losses) <= 1e-14 * losses[:-1])
@@ -88,19 +100,20 @@ class TestTrain:
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 2, size=30)
         y[:2] = [0, 1]
-        a = train(X, y, reg_strength=0.1)
-        b = train(X.copy(), y.copy(), reg_strength=0.1)
+        config = ClassifierConfig(reg_strength=3.0)
+        a = train_with_config(X, y, config)
+        b = train_with_config(X.copy(), y.copy(), config)
         assert np.array_equal(a.weights, b.weights)
         assert a.n_iter == b.n_iter
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
-            train(np.zeros((4, 2)), [1, 1, 1, 1], reg_strength=0.1)
+            train_with_config(np.zeros((4, 2)), [1, 1, 1, 1], ClassifierConfig())
 
     def test_nan_features_rejected(self):
         X = np.array([[np.nan, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
-            train(X, [1, 2], reg_strength=0.1)
+            train_with_config(X, [1, 2], ClassifierConfig())
 
     def test_nonconvergence_is_warning_not_error(self, caplog):
         rng = np.random.default_rng(9)
@@ -108,7 +121,8 @@ class TestTrain:
         y = rng.integers(0, 3, size=50)
         y[:3] = [0, 1, 2]
         with caplog.at_level("WARNING"):
-            model = train(X, y, reg_strength=1e-6, tol=1e-14, max_iter=3)
+            config = ClassifierConfig(reg_strength=5e-5, tol=1e-14, max_iter=3)
+            model = train_with_config(X, y, config)
         assert not model.converged
         assert model.n_iter == 3
         assert any("optimizer" in rec.message for rec in caplog.records)
@@ -122,7 +136,7 @@ class TestTrain:
         y = rng.integers(0, 3, size=50)
         y[:3] = [0, 1, 2]
         with caplog.at_level("WARNING"):
-            model = train(X, y, reg_strength=1e-2, tol=1e-14, max_iter=1000)
+            model = train_with_config(X, y, ClassifierConfig(reg_strength=0.5, tol=1e-14))
         assert not model.converged
         assert model.n_iter < 200
         assert any("loss stalled" in rec.message for rec in caplog.records)
@@ -136,8 +150,9 @@ class TestTrain:
         y = np.arange(120) % 3
         X = rng.normal(0.0, 1.0, (3, 8))[y] + rng.standard_normal((120, 8))
         R, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        base = train(X, y, reg_strength=0.01)
-        rotated = train(X @ R, y, reg_strength=0.01)
+        config = ClassifierConfig(reg_strength=1.2)
+        base = train_with_config(X, y, config)
+        rotated = train_with_config(X @ R, y, config)
         assert base.converged and rotated.converged
         assert rotated.n_iter == base.n_iter
         np.testing.assert_allclose(
@@ -192,25 +207,19 @@ class TestTrain:
         X = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, size=40)
         y[:3] = [0, 1, 2]
-        cold = train(X, y, reg_strength=0.01)
-        warm = train(X, y, reg_strength=0.01, init_weights=cold.weights)
+        config = ClassifierConfig(reg_strength=0.4)
+        cold = train_with_config(X, y, config)
+        warm = train_with_config(X, y, config, init_weights=cold.weights)
         assert cold.converged and cold.n_iter > 0
         assert warm.converged and warm.n_iter == 0
         assert np.array_equal(warm.weights, cold.weights)
 
     def test_init_weights_shape_checked(self):
-        X = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="init_weights"):
-            train(X, [1, 1, 2, 2], reg_strength=0.1, init_weights=np.zeros((2, 2)))
-
-    def test_config_scales_regularization_per_sample(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(25, 3))
-        y = rng.integers(0, 2, size=25)
-        y[:2] = [0, 1]
-        via_config = train_with_config(X, y, ClassifierConfig(reg_strength=2.0, max_iter=50))
-        direct = train(X, y, reg_strength=2.0 / 25, max_iter=50)
-        assert np.array_equal(via_config.weights, direct.weights)
+        X, y = np.zeros((4, 2)), [1, 1, 2, 2]
+        with pytest.raises(ValueError, match="init_weights shape"):
+            train_with_config(X, y, ClassifierConfig(), init_weights=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="init_weights must be finite"):
+            train_with_config(X, y, ClassifierConfig(), init_weights=np.full((2, 3), np.nan))
 
 
 class TestPredict:

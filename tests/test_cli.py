@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -326,6 +327,12 @@ def test_warm_cache_run_parses_nothing_and_reports_the_same(standin_dir, tmp_pat
         assert (cold / name).read_bytes() == (warm / name).read_bytes()
 
 
+def one_row_report(**row):
+    """A report.json document with one grid row, its fields overridden by ``row``."""
+    cell = {"method": "none", "batch_id": 2, "n": 3, "accuracy": 1.0, "macro_f1": 1.0}
+    return {"grid": [{**cell, **row}], "config": {}, "provenance": {}}
+
+
 class TestReport:
     def test_table_from_saved_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -371,8 +378,25 @@ class TestReport:
                 "'batch_id'",
             ),
             ({"grid": [1], "config": {}, "provenance": {}}, "malformed grid row"),
+            (one_row_report(method=5), "grid row 0: 'method'"),
+            (one_row_report(batch_id=2.7), "grid row 0: 'batch_id'"),
+            (one_row_report(batch_id="3"), "grid row 0: 'batch_id'"),
+            (one_row_report(n=True), "grid row 0: 'n'"),
+            (one_row_report(accuracy="0.9"), "grid row 0: 'accuracy'"),
+            (one_row_report(accuracy=7.0), "grid row 0: 'accuracy'"),
+            (one_row_report(accuracy=math.nan), "grid row 0: 'accuracy'"),
+            (one_row_report(macro_f1=False), "grid row 0: 'macro_f1'"),
+            (
+                {**one_row_report(), "grid": one_row_report()["grid"] * 2},
+                "grid row 1: 'method' and 'batch_id'",
+            ),
         ],
-        ids=["no-grid", "not-an-object", "row-without-batch-id", "row-not-an-object"],
+        ids=[
+            "no-grid", "not-an-object", "row-without-batch-id", "row-not-an-object",
+            "method-not-a-string", "batch-id-a-float", "batch-id-a-string", "n-a-bool",
+            "accuracy-a-string", "accuracy-above-one", "accuracy-nan", "macro-f1-a-bool",
+            "repeated-cell",
+        ],
     )
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc, named):
         path = tmp_path / "report.json"
@@ -495,9 +519,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def test_projections_do_not_depend_on_the_blas_thread_count(standin_dir, tmp_path):
     # The command pins one BLAS thread unless the caller sets a count.  With
     # the variables unset, BLAS would take one thread per core, and on 2 or
-    # more cores the LDA projections differed in their last digits.  Importing
-    # cli sets the variables in this process too, so each child's environment
-    # is built here.
+    # more cores the LDA projections differed in their last digits.  conftest
+    # and cli set the variables in this process too, so each child's
+    # environment is built here.
     src = str(Path(driftbench.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}

@@ -389,6 +389,19 @@ class TestOnePass:
             ("9:9.25", "9:1e400", "non-finite value in token '9:1e400'"),
             ("2:2.25", "2:\t2.25", "unparseable value in token '2:'"),
             ("3;250.5", "3;0", "concentration must be positive in token '3;0'"),
+            # int() and float() take "_" separators and non-ASCII digits; the grammar does not.
+            ("3;250.5", "0_3;250.5", "malformed label token '0_3;250.5'"),
+            ("10:10.25", "1_0:10.25", "malformed feature index in token '1_0:10.25'"),
+            ("3:3.25", "3:1_5", "unparseable value in token '3:1_5'"),
+            ("3;250.5", "3;25_0.5", "unparseable concentration in token '3;25_0.5'"),
+            ("3;250.5", "\u0663;250.5", "malformed label token '\u0663;250.5'"),
+            ("3:3.25", "\u0663:3.25", "malformed feature index in token '\u0663:3.25'"),
+            ("3:3.25", "3:\u0663.25", "unparseable value in token '3:\u0663.25'"),
+            (
+                "3;250.5",
+                "3;\u0662\u0665\u0660.5",
+                "unparseable concentration in token '3;\u0662\u0665\u0660.5'",
+            ),
         ],
     )
     def test_trap_keeps_per_line_error(self, tmp_path, old, new, message):
