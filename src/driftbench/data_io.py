@@ -15,7 +15,6 @@ import math
 import os
 import re
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Sequence
@@ -151,29 +150,6 @@ def _number(convert, text: str):
     return convert(text)
 
 
-def _parse_head(token: str, at: str) -> tuple[int, float]:
-    """Parse a line's ``label[;concentration]`` head; both parsers use it.
-
-    A change to what this accepts or returns must bump ``_CACHE_VERSION``.
-    """
-    lab_s, sep, conc_s = token.partition(";")
-    try:
-        label = _number(int, lab_s)
-    except ValueError:
-        raise DataFormatError(f"{at}malformed label token '{token}'") from None
-    if label not in GAS_LABELS:
-        raise DataFormatError(f"{at}label {label} outside {{1..6}} in token '{token}'")
-    if not sep:
-        return label, math.nan
-    try:
-        conc = _number(float, conc_s)
-    except ValueError:
-        raise DataFormatError(f"{at}unparseable concentration in token '{token}'") from None
-    if not math.isfinite(conc) or conc <= 0:
-        raise DataFormatError(f"{at}concentration must be positive in token '{token}'")
-    return label, conc
-
-
 def parse_sample_line(
     line: str,
     line_no: int | None = None,
@@ -192,14 +168,30 @@ def parse_sample_line(
             increasing, unparseable number, or label outside {1..6}.  The
             message names the offending token and, when given, the line number.
 
-    A change to what this accepts or returns must bump ``_CACHE_VERSION``,
-    whose cached columns reproduce this parser's.
+    This is the only parser of the line grammar.  A change to what it accepts
+    or returns must bump ``_CACHE_VERSION``, since cached columns are its
+    output.
     """
     at = f"line {line_no}: " if line_no is not None else ""
     tokens = line.split()
     if not tokens:
         raise DataFormatError(f"{at}empty line")
-    label, concentration = _parse_head(tokens[0], at)
+    head = tokens[0]
+    lab_s, sep, conc_s = head.partition(";")
+    try:
+        label = _number(int, lab_s)
+    except ValueError:
+        raise DataFormatError(f"{at}malformed label token '{head}'") from None
+    if label not in GAS_LABELS:
+        raise DataFormatError(f"{at}label {label} outside {{1..6}} in token '{head}'")
+    concentration = math.nan
+    if sep:
+        try:
+            concentration = _number(float, conc_s)
+        except ValueError:
+            raise DataFormatError(f"{at}unparseable concentration in token '{head}'") from None
+        if not math.isfinite(concentration) or concentration <= 0:
+            raise DataFormatError(f"{at}concentration must be positive in token '{head}'")
     values = np.zeros(N_FEATURES)
     prev = 0
     for tok in tokens[1:]:
@@ -248,69 +240,6 @@ def format_sample_line(label: int, concentration: float, features: Sequence[floa
     return f"{head} {pairs}"
 
 
-# A dense line "label[;conc] 1:v 2:v ... 128:v" with the characters of its
-# numbers and the head's ';' deleted is exactly this skeleton.  Translating
-# through _SKELETON_TABLE turns every other byte (a tab, '#', the letters of
-# nan or inf, non-ASCII) into NUL, so the one comparison also rejects any
-# character a number cannot hold, which np.loadtxt would otherwise strip
-# (whitespace) or read differently.
-_NUMBER_BYTES = b"0123456789+-.eE;"
-_SKELETON_TABLE = bytes(b if b in b" :" else 0 for b in range(256))
-_DENSE_SKELETON = b" :" * N_FEATURES
-_DENSE_ROW = np.dtype([("pair", [("index", "i8"), ("value", "f8")], (N_FEATURES,))])
-_DENSE_INDICES = np.arange(1, N_FEATURES + 1)
-
-
-class _NotDense(Exception):
-    """A line of the file is not a dense line the one-pass parse may take."""
-
-
-def _parse_dense(
-    path: Path, digest: hashlib._Hash
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Parse a file of dense lines in one pass into ``(labels,
-    concentrations, features)``, or return None.
-
-    Takes only files whose every non-blank line ``parse_sample_line`` accepts
-    with all 128 indices in order, and returns bit-identical arrays for them.
-    Anything else (a sparse or malformed line, a tab, a lone carriage return,
-    a non-finite value) returns None, and the per-line parser decides and
-    words the error.  The file is streamed, never held whole, so loading
-    stays well under the memory the fits need later.  Each line is fed to
-    ``digest`` as it is read, so after a parse that returns columns the
-    digest covers exactly the bytes they came from.  A change to what this
-    accepts or returns must bump ``_CACHE_VERSION``.
-    """
-    heads: list[tuple[int, float]] = []
-
-    def pairs(fh):
-        for raw in fh:
-            digest.update(raw)
-            line = raw.rstrip()
-            if not line:
-                continue
-            if line.translate(_SKELETON_TABLE, _NUMBER_BYTES) != _DENSE_SKELETON:
-                raise _NotDense
-            head, _, body = line.partition(b" ")
-            heads.append(_parse_head(head.decode(), ""))
-            yield body.replace(b":", b" ").decode()
-
-    try:
-        # Any warning also falls back: an index such as "3.0" or "1e0", which
-        # numpy 2 rejects as int64, numpy 1.x reads with a DeprecationWarning.
-        with open(path, "rb") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(pairs(fh), dtype=_DENSE_ROW, comments=None, delimiter=" ", ndmin=1)
-    except (_NotDense, ValueError, Warning):  # DataFormatError is a ValueError
-        return None
-    table = table["pair"]
-    features = np.ascontiguousarray(table["value"])
-    if not (np.all(table["index"] == _DENSE_INDICES) and np.all(np.isfinite(features))):
-        return None
-    labels, concentrations = zip(*heads)
-    return np.array(labels), np.array(concentrations), features
-
-
 def _parse_lines(
     name: str, lines: list[bytes], stats: ParseStats
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,13 +278,13 @@ def _parse_lines(
     return np.array(labels), np.array(concentrations), np.stack(features)
 
 
-# Parsed columns of dense batch files, one entry per file, beside the data:
-# ``<data dir>/.driftbench-cache/batch<N>.dat.npy``.  An entry is four arrays
-# saved one after another with ``np.save``: the SHA-256 of _CACHE_VERSION and
-# the file's bytes, then the labels, concentrations and features.  Any edit
-# of the file misses, and a changed file's entry is replaced.  Bump
-# _CACHE_VERSION whenever the parse rules change: GAS_LABELS, _parse_head,
-# parse_sample_line or _parse_dense.
+# Parsed columns of batch files whose every line lists all 128 features, one
+# entry per file, beside the data: ``<data dir>/.driftbench-cache/batch<N>.dat.npy``.
+# An entry is four arrays saved one after another with ``np.save``: the
+# SHA-256 of _CACHE_VERSION and the file's bytes, then the labels,
+# concentrations and features.  Any edit of the file misses, and a changed
+# file's entry is replaced.  Bump _CACHE_VERSION whenever the parse rules
+# change: GAS_LABELS, _number, parse_sample_line or _parse_lines.
 CACHE_DIR = ".driftbench-cache"
 _CACHE_VERSION = 1
 
@@ -402,8 +331,8 @@ def _read_entry(entry: Path, path: Path) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _write_entry(entry: Path, key: bytes, columns: tuple[np.ndarray, ...]) -> None:
-    """Store a dense parse's columns; a directory that cannot be written to
-    leaves the load as it was, with nothing stored."""
+    """Store the columns of a parse that zero-filled nothing; a directory that
+    cannot be written to leaves the load as it was, with nothing stored."""
 
     def write(fh):
         for array in (np.frombuffer(key, dtype=np.uint8), *columns):
@@ -418,32 +347,32 @@ def _write_entry(entry: Path, key: bytes, columns: tuple[np.ndarray, ...]) -> No
 def load_batch_file(path: Path | str, batch_id: int) -> tuple[Batch, ParseStats]:
     """Parse one batch file; line errors are aggregated into a single failure.
 
-    A file of dense lines is parsed in one pass, and its columns are cached
-    in ``.driftbench-cache/`` beside it, keyed by the SHA-256 of its bytes;
-    a later load of the same bytes reads the entry instead, with the same
-    arrays and ``ParseStats``.  A load that finds an entry hashes the file in
-    a streamed read to check it; a parse hashes the lines as it reads them
-    and stores its entry under that hash, so the entry describes what was
-    parsed even if the file changes during the load.  A missing, stale or
-    unreadable entry, or a directory that cannot be written to, only means
-    the file is parsed.  Any other file is parsed line by line with
-    ``parse_sample_line``, which also words every error, and is never
-    cached.  The file is read as UTF-8 whatever the locale, and a line that
-    is not valid UTF-8 is one more malformed line.
+    The file is read whole and parsed line by line with
+    ``parse_sample_line``, which also words every error.  When every line
+    lists all 128 features, the columns are cached in ``.driftbench-cache/``
+    beside the file, keyed by the SHA-256 of the bytes just parsed, so the
+    entry describes what was parsed even if the file changes during the
+    load.  A later load of the same bytes hashes the file in a streamed read
+    and reads the entry instead, with the same arrays and ``ParseStats``.  A
+    missing, stale or unreadable entry, or a directory that cannot be written
+    to, only means the file is parsed.  A file with a sparse or malformed
+    line is never cached, so its warning or error comes on every load.  The
+    file is read as UTF-8 whatever the locale, and a line that is not valid
+    UTF-8 is one more malformed line.
     """
     path = Path(path)
     entry = path.parent / CACHE_DIR / f"{path.name}.npy"
     stats = ParseStats()
     columns = _read_entry(entry, path)
-    if columns is None:
-        parsed = _cache_digest()
-        columns = _parse_dense(path, parsed)
-        if columns is not None:
-            _write_entry(entry, parsed.digest(), columns)
     if columns is not None:
         stats.lines = len(columns[0])
     else:
-        columns = _parse_lines(path.name, path.read_bytes().splitlines(), stats)
+        data = path.read_bytes()
+        columns = _parse_lines(path.name, data.splitlines(), stats)
+        if not stats.samples_with_missing:
+            key = _cache_digest()
+            key.update(data)
+            _write_entry(entry, key.digest(), columns)
     labels, concentrations, features = columns
     batch = Batch(batch_id, features, labels, concentrations, BATCH_MONTH_IDS.get(batch_id, ()))
     return batch, stats

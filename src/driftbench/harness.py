@@ -235,12 +235,14 @@ def report_from_json_dict(doc) -> EvalReport:
             grid[(method, batch_id)] = Cell(
                 accuracy=float(scores["accuracy"]), macro_f1=float(scores["macro_f1"]), n=n
             )
-        config_echo, provenance = dict(doc["config"]), dict(doc["provenance"])
+        for key in ("config", "provenance"):
+            if not isinstance(doc[key], dict):
+                raise ValueError(f"report's {key!r} is not a JSON object")
     except KeyError as exc:
         raise ValueError(f"report has no key {exc.args[0]!r}") from None
     except TypeError:
-        raise ValueError("report has a malformed grid row, config or provenance") from None
-    return EvalReport(grid, config_echo, provenance)
+        raise ValueError("report has a malformed grid row") from None
+    return EvalReport(grid, dict(doc["config"]), dict(doc["provenance"]))
 
 
 def export_report(report: EvalReport, out_dir: Path | str) -> tuple[Path, Path]:

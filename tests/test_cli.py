@@ -310,16 +310,16 @@ def test_warm_cache_run_parses_nothing_and_reports_the_same(standin_dir, tmp_pat
     data = tmp_path / "data"
     shutil.copytree(standin_dir, data, ignore=shutil.ignore_patterns(data_io.CACHE_DIR))
     calls = []
-    for name in ("_parse_dense", "parse_sample_line"):
+    parse = data_io._parse_lines
 
-        def spy(*args, _name=name, _real=getattr(data_io, name)):
-            calls.append(_name)
-            return _real(*args)
+    def spy(name, lines, stats):
+        calls.append(name)
+        return parse(name, lines, stats)
 
-        monkeypatch.setattr(data_io, name, spy)
+    monkeypatch.setattr(data_io, "_parse_lines", spy)
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     assert main(["run", "--data-dir", str(data), "--out", str(cold)]) == 0
-    assert calls == ["_parse_dense"] * 10
+    assert calls == [f"batch{n}.dat" for n in range(1, 11)]
     calls.clear()
     assert main(["run", "--data-dir", str(data), "--out", str(warm)]) == 0
     assert calls == []
@@ -390,12 +390,19 @@ class TestReport:
                 {**one_row_report(), "grid": one_row_report()["grid"] * 2},
                 "grid row 1: 'method' and 'batch_id'",
             ),
+            # dict() would read ["ab"] as {"a": "b"} and a list of pairs as a mapping
+            ({**one_row_report(), "provenance": ["ab"]}, "'provenance' is not a JSON object"),
+            ({**one_row_report(), "provenance": "ab"}, "'provenance' is not a JSON object"),
+            (
+                {**one_row_report(), "config": [["methods", "none"]]},
+                "'config' is not a JSON object",
+            ),
         ],
         ids=[
             "no-grid", "not-an-object", "row-without-batch-id", "row-not-an-object",
             "method-not-a-string", "batch-id-a-float", "batch-id-a-string", "n-a-bool",
             "accuracy-a-string", "accuracy-above-one", "accuracy-nan", "macro-f1-a-bool",
-            "repeated-cell",
+            "repeated-cell", "provenance-a-list", "provenance-a-string", "config-a-list-of-pairs",
         ],
     )
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc, named):

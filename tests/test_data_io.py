@@ -186,7 +186,8 @@ class TestLoad:
 
 def per_line_reference(path):
     """Load a batch file line by line with ``parse_sample_line``, aggregating
-    errors as ``load_batch_file`` does: the reference for its one-pass path."""
+    errors as ``load_batch_file`` does: the reference for its loads, from the
+    file or from the cache."""
     stats = ParseStats()
     rows, errors = [], []
     with open(path, encoding="utf-8") as fh:
@@ -232,13 +233,6 @@ def assert_loads_like_reference(path):
 def canonical_line(label, concentration=None):
     """A dense 128-feature line whose feature k reads ``k:k.25``."""
     return dense_line(label, [i + 1.25 for i in range(128)], concentration)
-
-
-def forbid_per_line_parser(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("the per-line parser ran on a dense file")
-
-    monkeypatch.setattr(data_io, "parse_sample_line", fail)
 
 
 def _swap_separators(tokens, k):
@@ -341,16 +335,16 @@ def cache_entry(path):
     return path.parent / data_io.CACHE_DIR / f"{path.name}.npy"
 
 
-def spy_dense_parse(monkeypatch):
-    """Count ``_parse_dense`` calls; the list gains one item per call."""
+def spy_parse(monkeypatch):
+    """Count ``_parse_lines`` calls; the list gains the file's name per call."""
     calls = []
-    parse = data_io._parse_dense
+    parse = data_io._parse_lines
 
-    def spy(path, digest):
-        calls.append(path)
-        return parse(path, digest)
+    def spy(name, lines, stats):
+        calls.append(name)
+        return parse(name, lines, stats)
 
-    monkeypatch.setattr(data_io, "_parse_dense", spy)
+    monkeypatch.setattr(data_io, "_parse_lines", spy)
     return calls
 
 
@@ -372,7 +366,8 @@ def assert_same_columns(got, want):
 
 
 class TestOnePass:
-    """The one-pass parse of dense files against the per-line parser."""
+    """A load reads the file once, and its columns, stats and error text
+    match the per-line reference, whether parsed or read from the cache."""
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -428,24 +423,29 @@ class TestOnePass:
         a, b, c = canonical_line(1), canonical_line(3, "250.5"), canonical_line(6, "1e3")
         path = tmp_path / "batch1.dat"
         path.write_bytes(text.format(a=a, b=b, c=c).encode())
-        forbid_per_line_parser(monkeypatch)  # the reference keeps its own binding
+        calls = spy_parse(monkeypatch)
         assert assert_loads_like_reference(path) is None
+        assert assert_loads_like_reference(path) is None
+        assert calls == ["batch1.dat"]
 
-    def test_canonical_dense_file_never_reaches_per_line_parser(self, tmp_path, monkeypatch):
+    def test_canonical_dense_file_is_parsed_once(self, tmp_path, monkeypatch):
         batch = write_random_batch(tmp_path / "batch1.dat", seed=3, n=6)
-        forbid_per_line_parser(monkeypatch)
-        back, stats = load_batch_file(tmp_path / "batch1.dat", 1)
-        assert back.features.tobytes() == batch.features.tobytes()
-        assert back.labels.tobytes() == batch.labels.tobytes()
-        assert back.concentrations.tobytes() == batch.concentrations.tobytes()
-        assert stats == ParseStats(lines=6)
+        calls = spy_parse(monkeypatch)
+        for _ in range(2):
+            back, stats = load_batch_file(tmp_path / "batch1.dat", 1)
+            assert_same_columns(back, batch)
+            assert stats == ParseStats(lines=6)
+        assert calls == ["batch1.dat"]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=batch_file_text())
     def test_matches_per_line_parser(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("gen") / "batch1.dat"
         path.write_bytes(text.encode())
-        assert_loads_like_reference(path)
+        error = assert_loads_like_reference(path)
+        assert assert_loads_like_reference(path) == error
+        clean = error is None and per_line_reference(path)[3].samples_with_missing == 0
+        assert cache_entry(path).is_file() == clean
 
 
 class TestCache:
@@ -458,8 +458,7 @@ class TestCache:
         cold, cold_stats = load_batch_file(path, 1)
         cold_sum = dataset_checksum(load_dataset(tmp_path))
         assert cache_entry(path).is_file()
-        calls = spy_dense_parse(monkeypatch)
-        forbid_per_line_parser(monkeypatch)
+        calls = spy_parse(monkeypatch)
         warm, warm_stats = load_batch_file(path, 1)
         assert calls == []
         assert_same_columns(warm, cold)
@@ -476,7 +475,7 @@ class TestCache:
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert os.stat(path).st_size == before.st_size
         assert os.stat(path).st_mtime_ns == before.st_mtime_ns
-        calls = spy_dense_parse(monkeypatch)
+        calls = spy_parse(monkeypatch)
         batch, _ = load_batch_file(path, 1)
         assert len(calls) == 1
         assert batch.features[0, 6] == 8.25
@@ -502,7 +501,7 @@ class TestCache:
                     np.save(fh, want.labels.astype(object), allow_pickle=True)
                 np.save(fh, want.concentrations)
                 np.save(fh, want.features)
-        calls = spy_dense_parse(monkeypatch)
+        calls = spy_parse(monkeypatch)
         batch, stats = load_batch_file(path, 1)
         assert len(calls) == 1
         assert_same_columns(batch, want)
@@ -526,7 +525,7 @@ class TestCache:
         monkeypatch.setattr(data_io, "_file_key", key_then_rewrite)
         parsed, _ = load_batch_file(path, 1)
         monkeypatch.undo()
-        calls = spy_dense_parse(monkeypatch)
+        calls = spy_parse(monkeypatch)
         batch, stats = load_batch_file(path, 1)
         assert calls == []
         assert_same_columns(batch, parsed)
@@ -542,7 +541,7 @@ class TestCache:
         monkeypatch.setattr(data_io, "_CACHE_VERSION", data_io._CACHE_VERSION + 1)
         load_batch_file(path, 1)
         monkeypatch.undo()
-        calls = spy_dense_parse(monkeypatch)
+        calls = spy_parse(monkeypatch)
         load_batch_file(path, 1)
         assert len(calls) == 1
 
@@ -581,7 +580,7 @@ class TestCache:
         ],
         ids=["sparse", "malformed"],
     )
-    def test_fallback_files_are_never_cached(self, tmp_path, caplog, lines):
+    def test_sparse_and_malformed_files_are_never_cached(self, tmp_path, caplog, lines):
         path = tmp_path / "batch1.dat"
         path.write_text("\n".join(lines) + "\n")
         first = assert_loads_like_reference(path)
@@ -598,7 +597,7 @@ class TestCache:
         want = write_random_batch(path, seed=10, n=7)
         load_batch_file(path, 1)
         assert [p.name for p in (tmp_path / data_io.CACHE_DIR).iterdir()] == ["batch1.dat.npy"]
-        calls = spy_dense_parse(monkeypatch)
+        calls = spy_parse(monkeypatch)
         batch, _ = load_batch_file(path, 1)
         assert calls == []
         assert_same_columns(batch, want)

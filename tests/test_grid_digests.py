@@ -1,4 +1,8 @@
-from grid_digests import differences
+from pathlib import Path
+
+from grid_digests import differences, digest_lines
+
+EXPECTED = Path(__file__).with_name("grid_digests.expected")
 
 
 def test_differences_name_each_changed_missing_and_extra_line():
@@ -10,3 +14,11 @@ def test_differences_name_each_changed_missing_and_extra_line():
         "- c csv 5",
     ]
     assert differences("a\n", "a\nb\n") == ["+ b"]
+
+
+def test_guarded_grids_match_the_committed_digests():
+    # A change that means to move a report updates grid_digests.expected with
+    # `PYTHONPATH=src python tests/grid_digests.py > tests/grid_digests.expected`.
+    current = "\n".join(digest_lines()) + "\n"
+    diff = differences(EXPECTED.read_text(), current)
+    assert not diff, "grids differ from tests/grid_digests.expected:\n" + "\n".join(diff)
